@@ -8,7 +8,7 @@ RACE_PKGS := ./internal/controller/... ./internal/cluster/... ./internal/faults/
 	./internal/placement/... ./internal/snat/... ./internal/shardplane/... \
 	./internal/xgwdpu/... ./internal/slo/... ./internal/sim/...
 
-.PHONY: check vet lint-metrics build test race chaos bench bench-all bench-smoke bench-smoke-mc fmt
+.PHONY: check vet lint-metrics build test race chaos bench bench-all bench-smoke bench-smoke-mc fuzz-smoke fmt
 
 ## check: the full gate — vet, the metrics-name lint, build, tests, and the
 ## race pass.
@@ -66,6 +66,15 @@ bench-smoke:
 bench-smoke-mc:
 	GOMAXPROCS=4 $(GO) test -run '^$$' -bench ShardPlane -benchtime 1x ./internal/shardplane/
 	GOMAXPROCS=4 $(GO) run ./cmd/fastpath-bench -snat-max 1000000 -lpm-max 200000 -o /tmp/bench-smoke-mc.json
+
+## fuzz-smoke: about 10 s of coverage-guided fuzzing per target: the route
+## trie against its linear-scan oracle, and both packet parsers.
+## Minimization is capped so that inputs with new coverage do not eat the
+## time; a failing input is still written under testdata/fuzz.
+fuzz-smoke:
+	$(GO) test ./internal/tables/ -run '^$$' -fuzz '^FuzzTrieOps$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/netpkt/ -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/netpkt/ -run '^$$' -fuzz '^FuzzParsePlain$$' -fuzztime 10s -fuzzminimizetime 100x
 
 fmt:
 	gofmt -l -w .

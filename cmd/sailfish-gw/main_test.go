@@ -279,15 +279,24 @@ func TestServerShardedWorkersOverUDP(t *testing.T) {
 	if hw != perPath || sw != perPath {
 		t.Fatalf("hw = %d, sw = %d, want %d each", hw, sw, perPath)
 	}
+	// A worker counts a datagram after sending it on, so the last counts
+	// can trail the deliveries just read: poll until they settle.
 	var processed, busy uint64
-	for _, sh := range srv.shards {
-		if p := sh.processed.Load(); p > 0 {
-			busy++
-			processed += p
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		processed, busy = 0, 0
+		for _, sh := range srv.shards {
+			if p := sh.processed.Load(); p > 0 {
+				busy++
+				processed += p
+			}
+			if rf := sh.ringFull.Load(); rf != 0 {
+				t.Fatalf("ring full drops = %d with %d-slot rings", rf, shardRingSlots)
+			}
 		}
-		if rf := sh.ringFull.Load(); rf != 0 {
-			t.Fatalf("ring full drops = %d with %d-slot rings", rf, shardRingSlots)
+		if processed >= 2*perPath || time.Now().After(deadline) {
+			break
 		}
+		time.Sleep(time.Millisecond)
 	}
 	if processed != 2*perPath {
 		t.Fatalf("workers processed %d, want %d", processed, 2*perPath)

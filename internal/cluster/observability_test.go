@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -247,17 +248,48 @@ func TestDriverSaturatedSubmitZeroAlloc(t *testing.T) {
 	}
 	now := t0()
 	// Saturate: with Results undrained the workers wedge on the full result
-	// path and the queues stay full for good.
-	zeros := 0
-	for i := 0; i < 10_000 && zeros < 5; i++ {
-		if d.SubmitBatch(raws, now) == 0 {
-			zeros++
-		} else {
-			zeros = 0
+	// path and the queues stay full for good. Rejected submits alone do not
+	// prove that — a worker may still be finishing a batch it pulled — so
+	// wait until every channel on the path sits at capacity: the results,
+	// the workers' result queue, and the RX queue of every node the batch
+	// routes to.
+	var targets []chan *jobBatch
+	for _, raw := range raws {
+		var j job
+		if reason := d.route(raw, now, &j); reason != dDropNone {
+			t.Fatalf("packet does not route: reason %d", reason)
+		}
+		d.putBuf(j.raw)
+		if q := d.queues[j.node.ID]; !slices.Contains(targets, q) {
+			targets = append(targets, q)
 		}
 	}
-	if zeros < 5 {
-		t.Fatal("driver never saturated")
+	full := func() bool {
+		if len(d.results) < cap(d.results) || len(d.resultq) < cap(d.resultq) {
+			return false
+		}
+		for _, q := range targets {
+			if len(q) < cap(q) {
+				return false
+			}
+		}
+		return true
+	}
+	// The demux may still move one result batch after the channels first
+	// read full, freeing one worker for one more batch; so the state must
+	// also hold across a pause with nothing submitted.
+	wedged := func() bool {
+		if !full() {
+			return false
+		}
+		time.Sleep(10 * time.Millisecond)
+		return full()
+	}
+	for deadline := time.Now().Add(10 * time.Second); !wedged(); {
+		if time.Now().After(deadline) {
+			t.Fatal("driver never saturated")
+		}
+		d.SubmitBatch(raws, now)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		if d.SubmitBatch(raws, now) != 0 {

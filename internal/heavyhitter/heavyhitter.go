@@ -25,19 +25,24 @@ import (
 	"sailfish/internal/netpkt"
 )
 
-// ssEntry is one monitored counter in a SpaceSaving sketch.
-type ssEntry[K comparable] struct {
+// ssSlot is one monitored counter in a SpaceSaving sketch. A slot never
+// moves once assigned; only its heap position changes.
+type ssSlot[K comparable] struct {
 	key   K
 	count uint64 // estimated count (an overestimate)
 	err   uint64 // max overestimation carried in from the evicted entry
+	pos   int32  // position of this slot in heap
 }
 
-// SpaceSaving is a top-K frequency sketch over keys of type K. Not
-// concurrency-safe; Tracker provides locking.
+// SpaceSaving is a top-K frequency sketch over keys of type K. Entries live
+// in stable slots and the min-heap orders slot numbers, so a sift moves
+// int32s and the key index is written only when a key enters or leaves the
+// sketch. Not concurrency-safe; Tracker provides locking.
 type SpaceSaving[K comparable] struct {
-	k       int
-	entries []ssEntry[K] // min-heap ordered by count
-	index   map[K]int    // key -> position in entries
+	k     int
+	slots []ssSlot[K]
+	heap  []int32     // slot numbers, min-heap ordered by count
+	index map[K]int32 // key -> slot
 }
 
 // NewSpaceSaving builds a sketch tracking at most k keys.
@@ -45,7 +50,7 @@ func NewSpaceSaving[K comparable](k int) *SpaceSaving[K] {
 	if k < 1 {
 		k = 1
 	}
-	return &SpaceSaving[K]{k: k, index: make(map[K]int, k)}
+	return &SpaceSaving[K]{k: k, index: make(map[K]int32, k)}
 }
 
 // Observe adds n occurrences of key. If the key is untracked and the sketch
@@ -53,52 +58,47 @@ func NewSpaceSaving[K comparable](k int) *SpaceSaving[K] {
 // entry's error bound — the SpaceSaving recycle step. Once the working set
 // of hot keys is resident this path performs no allocation.
 func (s *SpaceSaving[K]) Observe(key K, n uint64) {
+	s.absorb(key, n, 0)
+}
+
+// absorb adds count occurrences of key carrying err of overestimation: the
+// key's own error bound on a hit, and on a newcomer that evicts the minimum,
+// err plus the evicted count. Observe is absorb with no error; Tracker
+// merging folds other sketches' exported entries in through it.
+func (s *SpaceSaving[K]) absorb(key K, count, err uint64) {
 	if i, ok := s.index[key]; ok {
-		s.entries[i].count += n
-		s.siftDown(i)
+		e := &s.slots[i]
+		e.count += count
+		e.err += err
+		s.siftDown(int(e.pos))
 		return
 	}
-	if len(s.entries) < s.k {
-		s.entries = append(s.entries, ssEntry[K]{key: key, count: n})
-		s.index[key] = len(s.entries) - 1
-		s.siftUp(len(s.entries) - 1)
+	if len(s.slots) < s.k {
+		i := int32(len(s.slots))
+		s.slots = append(s.slots, ssSlot[K]{key: key, count: count, err: err, pos: int32(len(s.heap))})
+		s.heap = append(s.heap, i)
+		s.index[key] = i
+		s.siftUp(len(s.heap) - 1)
 		return
 	}
 	// Evict the minimum: the newcomer inherits its counter, and that old
 	// count becomes the bound on how much we may now be overestimating.
-	min := &s.entries[0]
-	delete(s.index, min.key)
-	min.err = min.count
-	min.count += n
-	min.key = key
-	s.index[key] = 0
+	i := s.heap[0]
+	e := &s.slots[i]
+	delete(s.index, e.key)
+	e.err = e.count + err
+	e.count += count
+	e.key = key
+	s.index[key] = i
 	s.siftDown(0)
 }
 
-// absorb folds one exported entry from another sketch into this one,
-// adding both the count and the error bound. When the sketch is full the
-// newcomer takes over the minimum entry SpaceSaving-style, with the evicted
-// count added onto the incoming error. Used by Tracker merging.
-func (s *SpaceSaving[K]) absorb(key K, count, err uint64) {
-	if i, ok := s.index[key]; ok {
-		s.entries[i].count += count
-		s.entries[i].err += err
-		s.siftDown(i)
-		return
-	}
-	if len(s.entries) < s.k {
-		s.entries = append(s.entries, ssEntry[K]{key: key, count: count, err: err})
-		s.index[key] = len(s.entries) - 1
-		s.siftUp(len(s.entries) - 1)
-		return
-	}
-	min := &s.entries[0]
-	delete(s.index, min.key)
-	min.err = min.count + err
-	min.count += count
-	min.key = key
-	s.index[key] = 0
-	s.siftDown(0)
+// reset empties the sketch in place, keeping its storage for the next
+// window.
+func (s *SpaceSaving[K]) reset() {
+	clear(s.index)
+	s.slots = s.slots[:0]
+	s.heap = s.heap[:0]
 }
 
 // Counted is a sketch entry exported for ranking: Count >= true count and
@@ -111,8 +111,9 @@ type Counted[K comparable] struct {
 
 // Top returns all tracked entries, highest estimated count first.
 func (s *SpaceSaving[K]) Top() []Counted[K] {
-	out := make([]Counted[K], len(s.entries))
-	for i, e := range s.entries {
+	out := make([]Counted[K], len(s.heap))
+	for i, si := range s.heap {
+		e := &s.slots[si]
 		out[i] = Counted[K]{Key: e.key, Count: e.count, Err: e.err}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Count > out[j].Count })
@@ -120,16 +121,17 @@ func (s *SpaceSaving[K]) Top() []Counted[K] {
 }
 
 // Len reports how many keys the sketch currently tracks.
-func (s *SpaceSaving[K]) Len() int { return len(s.entries) }
+func (s *SpaceSaving[K]) Len() int { return len(s.heap) }
 
 func (s *SpaceSaving[K]) less(i, j int) bool {
-	return s.entries[i].count < s.entries[j].count
+	return s.slots[s.heap[i]].count < s.slots[s.heap[j]].count
 }
 
 func (s *SpaceSaving[K]) swap(i, j int) {
-	s.entries[i], s.entries[j] = s.entries[j], s.entries[i]
-	s.index[s.entries[i].key] = i
-	s.index[s.entries[j].key] = j
+	h := s.heap
+	h[i], h[j] = h[j], h[i]
+	s.slots[h[i]].pos = int32(i)
+	s.slots[h[j]].pos = int32(j)
 }
 
 func (s *SpaceSaving[K]) siftUp(i int) {
@@ -144,7 +146,7 @@ func (s *SpaceSaving[K]) siftUp(i int) {
 }
 
 func (s *SpaceSaving[K]) siftDown(i int) {
-	n := len(s.entries)
+	n := len(s.heap)
 	for {
 		least := i
 		if l := 2*i + 1; l < n && s.less(l, least) {
@@ -174,17 +176,16 @@ type RouteKey struct {
 	DIP netip.Addr
 }
 
-// clusterSketch is one cluster's view: hot flows, hot route entries, and
-// exact totals for share computation.
+// clusterSketch is one cluster's view: hot flows and hot route entries.
+// Shares are taken against the tracker-wide packet total.
 type clusterSketch struct {
 	flows  *SpaceSaving[FlowKey]
 	routes *SpaceSaving[RouteKey]
-	pkts   uint64
-	bytes  uint64
 }
 
 // vniCount is an exact per-VNI tally.
 type vniCount struct {
+	vni   netpkt.VNI
 	pkts  uint64
 	bytes uint64
 }
@@ -196,9 +197,9 @@ type Tracker struct {
 	mu       sync.Mutex
 	k        int
 	clusters map[int]*clusterSketch
-	vnis     map[netpkt.VNI]*vniCount
+	vniIndex map[netpkt.VNI]int32 // VNI -> slot in vnis
+	vnis     []vniCount
 	pkts     uint64
-	bytes    uint64
 }
 
 // NewTracker builds a Tracker whose per-cluster sketches hold k entries
@@ -211,8 +212,32 @@ func NewTracker(k int) *Tracker {
 	return &Tracker{
 		k:        k,
 		clusters: make(map[int]*clusterSketch),
-		vnis:     make(map[netpkt.VNI]*vniCount),
+		vniIndex: make(map[netpkt.VNI]int32),
 	}
+}
+
+// cluster returns cluster id's sketch, creating it on first use.
+func (t *Tracker) cluster(id int) *clusterSketch {
+	cs := t.clusters[id]
+	if cs == nil {
+		cs = &clusterSketch{
+			flows:  NewSpaceSaving[FlowKey](t.k),
+			routes: NewSpaceSaving[RouteKey](t.k),
+		}
+		t.clusters[id] = cs
+	}
+	return cs
+}
+
+// vni returns vni's tally, creating it on first use.
+func (t *Tracker) vni(vni netpkt.VNI) *vniCount {
+	i, ok := t.vniIndex[vni]
+	if !ok {
+		i = int32(len(t.vnis))
+		t.vnis = append(t.vnis, vniCount{vni: vni})
+		t.vniIndex[vni] = i
+	}
+	return &t.vnis[i]
 }
 
 // Observe records one steered packet: which cluster it went to, its tenant
@@ -222,33 +247,19 @@ func (t *Tracker) Observe(cluster int, vni netpkt.VNI, flowHash uint64, dip neti
 		return
 	}
 	t.mu.Lock()
-	cs := t.clusters[cluster]
-	if cs == nil {
-		cs = &clusterSketch{
-			flows:  NewSpaceSaving[FlowKey](t.k),
-			routes: NewSpaceSaving[RouteKey](t.k),
-		}
-		t.clusters[cluster] = cs
-	}
+	cs := t.cluster(cluster)
 	cs.flows.Observe(FlowKey{VNI: vni, Hash: flowHash}, 1)
 	cs.routes.Observe(RouteKey{VNI: vni, DIP: dip}, 1)
-	cs.pkts++
-	cs.bytes += uint64(wireLen)
-	vc := t.vnis[vni]
-	if vc == nil {
-		vc = &vniCount{}
-		t.vnis[vni] = vc
-	}
+	vc := t.vni(vni)
 	vc.pkts++
 	vc.bytes += uint64(wireLen)
 	t.pkts++
-	t.bytes += uint64(wireLen)
 	t.mu.Unlock()
 }
 
 // Merge returns a fresh Tracker combining the given trackers' sketches and
 // tallies — the scrape-side view of a sharded plane where each shard worker
-// feeds its own tracker. Exact tallies (per-cluster, per-VNI, totals) sum
+// feeds its own tracker. Exact tallies (per-VNI and the packet total) sum
 // exactly. Sketch entries sum count and error bounds per key: flows are
 // sharded by flow hash so each FlowKey's whole substream lives in exactly
 // one shard tracker and the summed bounds stay valid; route keys can span
@@ -263,52 +274,46 @@ func Merge(k int, shards ...*Tracker) *Tracker {
 		}
 		t.mu.Lock()
 		for id, cs := range t.clusters {
-			mc := m.clusters[id]
-			if mc == nil {
-				mc = &clusterSketch{
-					flows:  NewSpaceSaving[FlowKey](m.k),
-					routes: NewSpaceSaving[RouteKey](m.k),
-				}
-				m.clusters[id] = mc
-			}
-			for _, e := range cs.flows.entries {
+			mc := m.cluster(id)
+			// Entries fold in heap order.
+			for _, i := range cs.flows.heap {
+				e := &cs.flows.slots[i]
 				mc.flows.absorb(e.key, e.count, e.err)
 			}
-			for _, e := range cs.routes.entries {
+			for _, i := range cs.routes.heap {
+				e := &cs.routes.slots[i]
 				mc.routes.absorb(e.key, e.count, e.err)
 			}
-			mc.pkts += cs.pkts
-			mc.bytes += cs.bytes
 		}
-		for vni, vc := range t.vnis {
-			mv := m.vnis[vni]
-			if mv == nil {
-				mv = &vniCount{}
-				m.vnis[vni] = mv
-			}
+		for _, vc := range t.vnis {
+			mv := m.vni(vc.vni)
 			mv.pkts += vc.pkts
 			mv.bytes += vc.bytes
 		}
 		m.pkts += t.pkts
-		m.bytes += t.bytes
 		t.mu.Unlock()
 	}
 	return m
 }
 
-// Reset discards every sketch and tally, starting a fresh measurement
-// window. The placement loop uses it to make per-cycle shares reflect the
-// current workload instead of all traffic since boot, so entries whose
-// popularity faded actually fall below the demotion threshold. Re-warming
-// the sketches allocates, so Reset is for cycle-cadence use, not per packet.
+// Reset discards every sketch entry and tally, starting a fresh
+// measurement window. The placement loop uses it to make per-cycle shares
+// reflect the current workload instead of all traffic since boot, so
+// entries whose popularity faded actually fall below the demotion
+// threshold. The sketches are emptied in place and keep their storage, so
+// re-warming them with a similar key set allocates nothing.
 func (t *Tracker) Reset() {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.clusters = make(map[int]*clusterSketch)
-	t.vnis = make(map[netpkt.VNI]*vniCount)
-	t.pkts, t.bytes = 0, 0
+	for _, cs := range t.clusters {
+		cs.flows.reset()
+		cs.routes.reset()
+	}
+	clear(t.vniIndex)
+	t.vnis = t.vnis[:0]
+	t.pkts = 0
 	t.mu.Unlock()
 }
 
@@ -353,7 +358,21 @@ func (t *Tracker) TopFlows(n int) []HotFlow {
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Packets > out[j].Packets })
+	// Equal counts rank by (cluster, VNI, flow hash) so the order does not
+	// depend on map iteration.
+	sort.Slice(out, func(i, j int) bool {
+		a, b := &out[i], &out[j]
+		if a.Packets != b.Packets {
+			return a.Packets > b.Packets
+		}
+		if a.Cluster != b.Cluster {
+			return a.Cluster < b.Cluster
+		}
+		if a.VNI != b.VNI {
+			return a.VNI < b.VNI
+		}
+		return a.FlowHash < b.FlowHash
+	})
 	if n > 0 && len(out) > n {
 		out = out[:n]
 	}
@@ -419,7 +438,21 @@ func (t *Tracker) HotEntries(target float64) Residency {
 			})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Packets > all[j].Packets })
+	// Equal counts rank by (cluster, VNI, DIP) so the residency cut does not
+	// depend on map iteration.
+	sort.Slice(all, func(i, j int) bool {
+		a, b := &all[i], &all[j]
+		if a.Packets != b.Packets {
+			return a.Packets > b.Packets
+		}
+		if a.Cluster != b.Cluster {
+			return a.Cluster < b.Cluster
+		}
+		if a.VNI != b.VNI {
+			return a.VNI < b.VNI
+		}
+		return a.DIP.Less(b.DIP)
+	})
 	var sure uint64
 	for _, e := range all {
 		if res.Achieved >= target {
@@ -461,13 +494,13 @@ func (t *Tracker) VNISkewSummary() []VNISkew {
 		}
 	}
 	out := make([]VNISkew, 0, len(t.vnis))
-	for vni, vc := range t.vnis {
+	for _, vc := range t.vnis {
 		s := VNISkew{
-			VNI:      vni,
+			VNI:      vc.vni,
 			Packets:  vc.pkts,
 			Bytes:    vc.bytes,
 			Share:    share(vc.pkts, t.pkts),
-			HotShare: share(hot[vni], vc.pkts),
+			HotShare: share(hot[vc.vni], vc.pkts),
 		}
 		if s.HotShare > 1 {
 			s.HotShare = 1

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -310,5 +311,279 @@ func BenchmarkTrackerObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Observe(0, netpkt.VNI(100+i%8), uint64(i%4096), dip, 100)
+	}
+}
+
+// refSpaceSaving is the map-indexed SpaceSaving this package shipped before
+// the slot-indexed heap, kept verbatim in logic as the output oracle: the
+// heap holds whole entries and every swap rewrites both keys' index cells.
+type refSpaceSaving[K comparable] struct {
+	k       int
+	entries []refEntry[K]
+	index   map[K]int
+}
+
+type refEntry[K comparable] struct {
+	key        K
+	count, err uint64
+}
+
+func newRefSpaceSaving[K comparable](k int) *refSpaceSaving[K] {
+	return &refSpaceSaving[K]{k: k, index: make(map[K]int, k)}
+}
+
+func (s *refSpaceSaving[K]) Observe(key K, n uint64) {
+	if i, ok := s.index[key]; ok {
+		s.entries[i].count += n
+		s.siftDown(i)
+		return
+	}
+	if len(s.entries) < s.k {
+		s.entries = append(s.entries, refEntry[K]{key: key, count: n})
+		s.index[key] = len(s.entries) - 1
+		s.siftUp(len(s.entries) - 1)
+		return
+	}
+	min := &s.entries[0]
+	delete(s.index, min.key)
+	min.err = min.count
+	min.count += n
+	min.key = key
+	s.index[key] = 0
+	s.siftDown(0)
+}
+
+func (s *refSpaceSaving[K]) absorb(key K, count, err uint64) {
+	if i, ok := s.index[key]; ok {
+		s.entries[i].count += count
+		s.entries[i].err += err
+		s.siftDown(i)
+		return
+	}
+	if len(s.entries) < s.k {
+		s.entries = append(s.entries, refEntry[K]{key: key, count: count, err: err})
+		s.index[key] = len(s.entries) - 1
+		s.siftUp(len(s.entries) - 1)
+		return
+	}
+	min := &s.entries[0]
+	delete(s.index, min.key)
+	min.err = min.count + err
+	min.count += count
+	min.key = key
+	s.index[key] = 0
+	s.siftDown(0)
+}
+
+func (s *refSpaceSaving[K]) Top() []Counted[K] {
+	out := make([]Counted[K], len(s.entries))
+	for i, e := range s.entries {
+		out[i] = Counted[K]{Key: e.key, Count: e.count, Err: e.err}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Count > out[j].Count })
+	return out
+}
+
+func (s *refSpaceSaving[K]) less(i, j int) bool { return s.entries[i].count < s.entries[j].count }
+
+func (s *refSpaceSaving[K]) swap(i, j int) {
+	s.entries[i], s.entries[j] = s.entries[j], s.entries[i]
+	s.index[s.entries[i].key] = i
+	s.index[s.entries[j].key] = j
+}
+
+func (s *refSpaceSaving[K]) siftUp(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			return
+		}
+		s.swap(i, parent)
+		i = parent
+	}
+}
+
+func (s *refSpaceSaving[K]) siftDown(i int) {
+	n := len(s.entries)
+	for {
+		least := i
+		if l := 2*i + 1; l < n && s.less(l, least) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && s.less(r, least) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		s.swap(i, least)
+		i = least
+	}
+}
+
+// heapOrder lists a sketch's entries in heap order, the order Top sorts
+// from and Merge absorbs in.
+func heapOrder[K comparable](s *SpaceSaving[K]) []Counted[K] {
+	out := make([]Counted[K], 0, len(s.heap))
+	for _, i := range s.heap {
+		e := &s.slots[i]
+		out = append(out, Counted[K]{Key: e.key, Count: e.count, Err: e.err})
+	}
+	return out
+}
+
+func refHeapOrder[K comparable](s *refSpaceSaving[K]) []Counted[K] {
+	out := make([]Counted[K], 0, len(s.entries))
+	for _, e := range s.entries {
+		out = append(out, Counted[K]{Key: e.key, Count: e.count, Err: e.err})
+	}
+	return out
+}
+
+// The slot-indexed heap must make exactly the map-indexed sketch's moves:
+// identical heap order, and so identical Top with ties, throughout a Zipf
+// stream under eviction pressure.
+func TestSpaceSavingMatchesMapIndexedOracle(t *testing.T) {
+	const k = 64
+	r := rand.New(rand.NewSource(5))
+	z := rand.NewZipf(r, 1.2, 1, 4999)
+	got, want := NewSpaceSaving[uint64](k), newRefSpaceSaving[uint64](k)
+	for i := 0; i < 60000; i++ {
+		key, n := z.Uint64(), uint64(1+r.Intn(3))
+		got.Observe(key, n)
+		want.Observe(key, n)
+		if i%997 == 0 && !reflect.DeepEqual(heapOrder(got), refHeapOrder(want)) {
+			t.Fatalf("op %d: heap order diverged from the map-indexed oracle", i)
+		}
+	}
+	if !reflect.DeepEqual(got.Top(), want.Top()) {
+		t.Fatal("Top diverged from the map-indexed oracle")
+	}
+}
+
+// Merge folds shard sketches in heap order: both merged sketches match the
+// oracle fed the same shard streams and folded the same way.
+func TestTrackerMergeMatchesOracle(t *testing.T) {
+	const k = 32
+	r := rand.New(rand.NewSource(9))
+	z := rand.NewZipf(r, 1.3, 1, 999)
+	trs := []*Tracker{NewTracker(k), NewTracker(k)}
+	var routes [2]*refSpaceSaving[RouteKey]
+	var flows [2]*refSpaceSaving[FlowKey]
+	for i := range trs {
+		routes[i], flows[i] = newRefSpaceSaving[RouteKey](k), newRefSpaceSaving[FlowKey](k)
+	}
+	for i := 0; i < 40000; i++ {
+		key := int(z.Uint64())
+		vni := netpkt.VNI(100 + key%4)
+		trs[i%2].Observe(0, vni, uint64(key), ip(key), 100)
+		routes[i%2].Observe(RouteKey{VNI: vni, DIP: ip(key)}, 1)
+		flows[i%2].Observe(FlowKey{VNI: vni, Hash: uint64(key)}, 1)
+	}
+	wantRoutes, wantFlows := newRefSpaceSaving[RouteKey](k), newRefSpaceSaving[FlowKey](k)
+	for i := range trs {
+		for _, c := range refHeapOrder(routes[i]) {
+			wantRoutes.absorb(c.Key, c.Count, c.Err)
+		}
+		for _, c := range refHeapOrder(flows[i]) {
+			wantFlows.absorb(c.Key, c.Count, c.Err)
+		}
+	}
+	m := Merge(k, trs...)
+	if !reflect.DeepEqual(m.clusters[0].routes.Top(), wantRoutes.Top()) {
+		t.Fatal("merged route sketch diverged from the oracle fold")
+	}
+	if !reflect.DeepEqual(m.clusters[0].flows.Top(), wantFlows.Top()) {
+		t.Fatal("merged flow sketch diverged from the oracle fold")
+	}
+	if m.TotalPackets() != 40000 {
+		t.Fatalf("merged TotalPackets = %d", m.TotalPackets())
+	}
+}
+
+// Equal counts in different clusters must rank the same way on every call:
+// by cluster, then VNI, then DIP or flow hash.
+func TestRankingDeterministicAcrossClusters(t *testing.T) {
+	tr := NewTracker(16)
+	for c := 0; c < 6; c++ {
+		for i := 0; i < 10; i++ {
+			tr.Observe(c, netpkt.VNI(200-c), uint64(c+1), ip(c), 100)
+			tr.Observe(c, netpkt.VNI(100), uint64(c+100), ip(c+50), 100)
+		}
+	}
+	firstHot, firstFlows := tr.HotEntries(1).Entries, tr.TopFlows(0)
+	for i := 0; i < 50; i++ {
+		if !reflect.DeepEqual(tr.HotEntries(1).Entries, firstHot) {
+			t.Fatal("HotEntries order changed between calls")
+		}
+		if !reflect.DeepEqual(tr.TopFlows(0), firstFlows) {
+			t.Fatal("TopFlows order changed between calls")
+		}
+	}
+	for i := 1; i < len(firstHot); i++ {
+		a, b := firstHot[i-1], firstHot[i]
+		if a.Cluster > b.Cluster || (a.Cluster == b.Cluster && a.VNI >= b.VNI) {
+			t.Fatalf("tied entries out of (cluster, VNI) order: %+v before %+v", a, b)
+		}
+	}
+}
+
+// A reset tracker answers every exported method exactly as a fresh one fed
+// the same stream, and re-warming it with the same key set allocates
+// nothing.
+func TestTrackerResetReusesStorage(t *testing.T) {
+	feed := func(tr *Tracker, seed int64) {
+		r := rand.New(rand.NewSource(seed))
+		z := rand.NewZipf(r, 1.4, 1, 299)
+		for i := 0; i < 5000; i++ {
+			key := int(z.Uint64())
+			tr.Observe(key%3, netpkt.VNI(100+key%5), uint64(key), ip(key), 64+key%100)
+		}
+	}
+	reused, fresh := NewTracker(64), NewTracker(64)
+	feed(reused, 1)
+	reused.Reset()
+	feed(reused, 2)
+	feed(fresh, 2)
+	if !reflect.DeepEqual(reused.TopFlows(0), fresh.TopFlows(0)) ||
+		!reflect.DeepEqual(reused.HotEntries(0.99), fresh.HotEntries(0.99)) ||
+		!reflect.DeepEqual(reused.VNISkewSummary(), fresh.VNISkewSummary()) ||
+		reused.TotalPackets() != fresh.TotalPackets() ||
+		!reflect.DeepEqual(Merge(64, reused).HotEntries(1), Merge(64, fresh).HotEntries(1)) {
+		t.Fatal("reset tracker is distinguishable from a fresh one")
+	}
+
+	keys := [8]int{1, 2, 3, 5, 8, 13, 21, 34}
+	rewarm := func() {
+		reused.Reset()
+		for _, k := range keys {
+			reused.Observe(k%2, netpkt.VNI(100+k%3), uint64(k), ip(k), 100)
+		}
+	}
+	rewarm()
+	if allocs := testing.AllocsPerRun(100, rewarm); allocs != 0 {
+		t.Fatalf("Reset plus re-warm allocates %v/op, want 0", allocs)
+	}
+	if reused.TotalPackets() != uint64(len(keys)) {
+		t.Fatalf("TotalPackets after re-warm = %d", reused.TotalPackets())
+	}
+}
+
+// BenchmarkTrackerObserveZipf feeds a skewed key stream over far more
+// routes and flows than the sketch holds, so hits, sifts and evictions mix
+// as they do on the packet path.
+func BenchmarkTrackerObserveZipf(b *testing.B) {
+	r := rand.New(rand.NewSource(3))
+	z := rand.NewZipf(r, 1.1, 1, 99_999)
+	keys := make([]int, 1<<16)
+	for i := range keys {
+		keys[i] = int(z.Uint64())
+	}
+	tr := NewTracker(1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := keys[i&(len(keys)-1)]
+		tr.Observe(k%4, netpkt.VNI(100+k%64), uint64(k)*0x9e3779b97f4a7c15, ip(k), 100)
 	}
 }

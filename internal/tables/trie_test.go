@@ -5,6 +5,8 @@ import (
 	"net/netip"
 	"testing"
 	"testing/quick"
+
+	"sailfish/internal/netpkt"
 )
 
 func mustPrefix(s string) netip.Prefix { return netip.MustParsePrefix(s) }
@@ -90,8 +92,8 @@ func TestTrieDeleteAndPrune(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	// Root must have been pruned back to empty.
-	if tr.root.child[0] != nil || tr.root.child[1] != nil {
+	// The trie must have been pruned back to empty.
+	if tr.root != nil {
 		t.Fatal("trie not pruned after deleting all entries")
 	}
 }
@@ -278,46 +280,85 @@ func TestTrieDeleteMatchesReference(t *testing.T) {
 	}
 }
 
-func BenchmarkTrieLookup(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	tr := NewTrie[int](32)
-	for i := 0; i < 100000; i++ {
-		var buf [4]byte
-		rng.Read(buf[:])
-		tr.Insert(netip.PrefixFrom(netip.AddrFrom4(buf), 8+rng.Intn(25)).Masked(), i)
-	}
-	addrs := make([]netip.Addr, 1024)
-	for i := range addrs {
-		var buf [4]byte
-		rng.Read(buf[:])
-		addrs[i] = netip.AddrFrom4(buf)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Lookup(addrs[i%len(addrs)])
-	}
-}
+// trieSink keeps benchmarked lookups from being optimized away.
+var trieSink int
 
-func BenchmarkTrieLookupV6(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	tr := NewTrie[int](128)
-	for i := 0; i < 100000; i++ {
-		var buf [16]byte
-		rng.Read(buf[:])
-		buf[0], buf[1] = 0x20, 0x01
-		tr.Insert(netip.PrefixFrom(netip.AddrFrom16(buf), 32+rng.Intn(97)).Masked(), i)
+// BenchmarkTrieLookup measures longest-prefix lookups. The v4/16 and v6/64
+// rows are the gateway's per-tenant tries, one VPC prefix each; v6/128 adds
+// a thousand host routes under the VPC prefix; the random rows are 100k
+// overlapping prefixes.
+func BenchmarkTrieLookup(b *testing.B) {
+	hosts := make([]netip.Prefix, 1024)
+	for i := range hosts {
+		hosts[i] = netip.PrefixFrom(netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 0, 1, 0, 2,
+			14: byte(i >> 8), 15: byte(i)}), 128)
 	}
-	addrs := make([]netip.Addr, 1024)
-	for i := range addrs {
-		var buf [16]byte
-		rng.Read(buf[:])
-		buf[0], buf[1] = 0x20, 0x01
-		addrs[i] = netip.AddrFrom16(buf)
+	for _, c := range []struct {
+		name     string
+		prefixes []netip.Prefix
+		addr     netip.Addr
+	}{
+		{"v4/16", []netip.Prefix{mustPrefix("10.1.0.0/16")}, netip.MustParseAddr("10.1.2.3")},
+		{"v6/64", []netip.Prefix{mustPrefix("2001:db8:1:2::/64")}, netip.MustParseAddr("2001:db8:1:2::7")},
+		{"v6/128", append([]netip.Prefix{mustPrefix("2001:db8:1:2::/64")}, hosts...), hosts[517].Addr()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			tr := NewTrie[Route](c.addr.BitLen())
+			for i, p := range c.prefixes {
+				tr.Insert(p, Route{NextHopVNI: netpkt.VNI(i)})
+			}
+			if _, plen, _ := tr.Lookup(c.addr); plen != c.prefixes[len(c.prefixes)-1].Bits() {
+				b.Fatalf("lookup matched /%d", plen)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, plen, _ := tr.Lookup(c.addr)
+				trieSink += plen
+			}
+		})
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Lookup(addrs[i%len(addrs)])
-	}
+	b.Run("v4/random-100k", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(2))
+		tr := NewTrie[int](32)
+		for i := 0; i < 100000; i++ {
+			var buf [4]byte
+			rng.Read(buf[:])
+			tr.Insert(netip.PrefixFrom(netip.AddrFrom4(buf), 8+rng.Intn(25)).Masked(), i)
+		}
+		addrs := make([]netip.Addr, 1024)
+		for i := range addrs {
+			var buf [4]byte
+			rng.Read(buf[:])
+			addrs[i] = netip.AddrFrom4(buf)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, plen, _ := tr.Lookup(addrs[i%len(addrs)])
+			trieSink += plen
+		}
+	})
+	b.Run("v6/random-100k", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(8))
+		tr := NewTrie[int](128)
+		for i := 0; i < 100000; i++ {
+			var buf [16]byte
+			rng.Read(buf[:])
+			buf[0], buf[1] = 0x20, 0x01
+			tr.Insert(netip.PrefixFrom(netip.AddrFrom16(buf), 32+rng.Intn(97)).Masked(), i)
+		}
+		addrs := make([]netip.Addr, 1024)
+		for i := range addrs {
+			var buf [16]byte
+			rng.Read(buf[:])
+			buf[0], buf[1] = 0x20, 0x01
+			addrs[i] = netip.AddrFrom16(buf)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, plen, _ := tr.Lookup(addrs[i%len(addrs)])
+			trieSink += plen
+		}
+	})
 }
 
 func BenchmarkTrieInsert(b *testing.B) {
