@@ -8,11 +8,15 @@ RACE_PKGS := ./internal/controller/... ./internal/cluster/... ./internal/faults/
 	./internal/placement/... ./internal/snat/... ./internal/shardplane/... \
 	./internal/xgwdpu/... ./internal/slo/... ./internal/sim/...
 
-.PHONY: check vet lint-metrics build test race chaos bench bench-all bench-smoke bench-smoke-mc fuzz-smoke fmt
+.PHONY: check fmt-check vet lint-metrics build test race chaos bench bench-all bench-smoke bench-smoke-mc fuzz-smoke fmt
 
-## check: the full gate — vet, the metrics-name lint, build, tests, and the
-## race pass.
-check: vet lint-metrics build test race
+## check: the full gate — formatting, vet, the metrics-name lint, build,
+## tests, and the race pass.
+check: fmt-check vet lint-metrics build test race
+
+## fmt-check: every Go file is gofmt-clean (gofmt -l prints nothing).
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -68,13 +72,16 @@ bench-smoke-mc:
 	GOMAXPROCS=4 $(GO) run ./cmd/fastpath-bench -snat-max 1000000 -lpm-max 200000 -o /tmp/bench-smoke-mc.json
 
 ## fuzz-smoke: about 10 s of coverage-guided fuzzing per target: the route
-## trie against its linear-scan oracle, and both packet parsers.
+## trie against its linear-scan oracle, both packet parsers, and the front
+## parse against the full one (the dispatchers shard by the former while the
+## lanes run the latter).
 ## Minimization is capped so that inputs with new coverage do not eat the
 ## time; a failing input is still written under testdata/fuzz.
 fuzz-smoke:
 	$(GO) test ./internal/tables/ -run '^$$' -fuzz '^FuzzTrieOps$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/netpkt/ -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/netpkt/ -run '^$$' -fuzz '^FuzzParsePlain$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/netpkt/ -run '^$$' -fuzz '^FuzzParseFrontMatchesParse$$' -fuzztime 10s -fuzzminimizetime 100x
 
 fmt:
 	gofmt -l -w .

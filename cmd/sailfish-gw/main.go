@@ -151,6 +151,9 @@ type server struct {
 	underlay map[netip.Addr]*net.UDPAddr
 	buf      [9216]byte
 	sbuf     *netpkt.SerializeBuffer
+	// sc is the serial data path's packet scratch: each datagram is parsed
+	// into it once and every tier consumes that parse.
+	sc *xgwh.PacketScratch
 	// pcap, when set, captures every synthesized ingress frame and every
 	// rewritten egress frame.
 	pcap *pcap.Writer
@@ -213,6 +216,7 @@ func newServer(fc fileConfig) (*server, error) {
 		x86:      xgw86.NewNode(x86cfg),
 		underlay: make(map[netip.Addr]*net.UDPAddr),
 		sbuf:     netpkt.NewSerializeBuffer(128, 4096),
+		sc:       xgwh.NewPacketScratch(),
 
 		// 1-in-64 deterministic flow sampling; drops are always captured.
 		rec:       trace.New(trace.Config{Shards: 8, SlotsPerShard: 4096, SampleShift: 6}),
@@ -370,7 +374,8 @@ func (s *server) serveSharded() error {
 		}
 		// Placement is gated off in this mode; the cycle hook only pumps
 		// the SNAT standby sync, which the session store serializes itself.
-		s.maybeCycle(time.Now())
+		now := time.Now()
+		s.maybeCycle(now)
 		frame, err := s.synthesizeOuter(s.buf[:n])
 		if err != nil {
 			log.Printf("sailfish-gw: %v", err)
@@ -388,7 +393,7 @@ func (s *server) serveSharded() error {
 			sh.oversize.Add(1)
 			continue
 		}
-		if !sh.ring.Push(frame, time.Now().UnixNano()) {
+		if !sh.ring.Push(frame, now.UnixNano()) {
 			sh.ringFull.Add(1)
 		}
 	}
@@ -419,7 +424,7 @@ func (s *server) shardWorker(sh *gwShard) {
 			continue
 		}
 		idle = 0
-		if err := s.handleOn(sh, frame, time.Unix(0, ns)); err != nil {
+		if err := s.process(sh.sc, frame, time.Unix(0, ns)); err != nil {
 			log.Printf("sailfish-gw: %v", err)
 		}
 		sh.ring.Advance()
@@ -427,71 +432,19 @@ func (s *server) shardWorker(sh *gwShard) {
 	}
 }
 
-// handleOn processes one synthesized frame on a shard worker: the same
-// pipeline as handle, entered through the shard's private scratch. The x86
-// software tail serializes across workers (its re-encap scratch is
-// single-threaded), as the region's shard lanes do.
-func (s *server) handleOn(sh *gwShard, frame []byte, now time.Time) error {
-	var fm netpkt.FrontMeta
-	vni := netpkt.VNI(0)
-	if perr := netpkt.ParseFront(frame, &fm); perr == nil {
-		vni = fm.VNI
-		// The tracker locks internally; flow affinity keeps each flow's
-		// updates on one worker regardless.
-		s.hh.Observe(0, fm.VNI, fm.Flow.FastHash(), fm.Flow.Dst, fm.WireLen)
-	}
-	res, err := s.gw.ProcessPacketWith(sh.sc, frame, now)
-	if err != nil {
-		s.sloDrop(vni)
-		return err
-	}
-	switch res.Action {
-	case xgwh.ActionForward:
-		s.sloForward(vni)
-		return s.send(res.NC, res.Out)
-	case xgwh.ActionFallback:
-		// Hold the lock across the send: fres.Out (and the DPU tier's
-		// dres.Out) alias per-node re-encap scratch until the next pass.
-		// The DPU tier is nil in workers mode today (the placement stanza
-		// is incompatible with workers > 1), but the attempt sits inside
-		// the same critical section so the invariant survives if that
-		// gate is ever relaxed.
-		s.fbMu.Lock()
-		defer s.fbMu.Unlock()
-		if res.FallbackMiss {
-			s.sloFallbackMiss(vni)
-		}
-		if s.dpu != nil && res.FallbackMiss {
-			dres, served, derr := s.dpu.ProcessOn(s.dpuDevice(frame), frame, now)
-			if derr != nil {
-				s.sloDrop(vni)
-				return fmt.Errorf("dpu path: %w", derr)
-			}
-			if served {
-				s.sloDPUServed(vni)
-				return s.send(dres.NC, dres.Out)
-			}
-		}
-		fres, ferr := s.x86.ProcessFallback(frame, now)
-		if ferr != nil {
-			s.sloDrop(vni)
-			return fmt.Errorf("software path: %w", ferr)
-		}
-		s.sloFallback(vni, res.FallbackMiss)
-		return s.send(fres.NC, fres.Out)
-	default:
-		s.sloDrop(vni)
-		return fmt.Errorf("dropped: %s", res.DropReason)
-	}
-}
-
 // send strips the outer encapsulation from a rewritten frame and transmits
-// the VXLAN payload to the NC's underlay address. Safe for concurrent use:
-// the UDP socket serializes writes.
-func (s *server) send(nc netip.Addr, frame []byte) error {
+// the VXLAN payload to the NC's underlay address, capturing the frame first
+// when pcap is on (serial mode only). Safe for concurrent use: the UDP
+// socket serializes writes.
+func (s *server) send(nc netip.Addr, frame []byte, now time.Time) error {
 	ua := s.underlay[nc]
 	if ua == nil {
 		return fmt.Errorf("no underlay address for NC %v", nc)
+	}
+	if s.pcap != nil {
+		if err := s.pcap.WritePacket(now, frame); err != nil {
+			return err
+		}
 	}
 	out, err := vxlanPayload(frame)
 	if err != nil {
@@ -501,52 +454,55 @@ func (s *server) send(nc netip.Addr, frame []byte) error {
 	return err
 }
 
-// handle processes one VXLAN datagram (VXLAN header + inner frame).
+// handle processes one VXLAN datagram (VXLAN header + inner frame) on the
+// serial data path, with one clock reading for the whole datagram.
 func (s *server) handle(payload []byte) error {
-	s.maybeCycle(time.Now())
+	now := time.Now()
+	s.maybeCycle(now)
 	frame, err := s.synthesizeOuter(payload)
 	if err != nil {
 		return err
 	}
 	if s.pcap != nil {
-		if err := s.pcap.WritePacket(time.Now(), frame); err != nil {
+		if err := s.pcap.WritePacket(now, frame); err != nil {
 			return err
 		}
 	}
-	// Feed the heavy-hitter tracker from the front parse, as the region
-	// front end does (this daemon is one box, so cluster 0).
-	var fm netpkt.FrontMeta
-	vni := netpkt.VNI(0)
-	if perr := netpkt.ParseFront(frame, &fm); perr == nil {
-		vni = fm.VNI
-		s.hh.Observe(0, fm.VNI, fm.Flow.FastHash(), fm.Flow.Dst, fm.WireLen)
+	return s.process(s.sc, frame, now)
+}
+
+// process is the daemon's single pass over one frame: the gateway's parser
+// stage decodes it once into sc (booking parse_error itself), the
+// heavy-hitter tracker is fed from the parsed packet (this daemon is one
+// box, so cluster 0), and XGW-H, the DPU warm tier and the x86 software
+// path all consume that parsed packet and its memoized flow hash.
+func (s *server) process(sc *xgwh.PacketScratch, frame []byte, now time.Time) error {
+	if err := s.gw.Parse(sc, frame, now); err != nil {
+		s.sloDrop(0)
+		return fmt.Errorf("dropped: parse_error")
 	}
-	res, err := s.gw.ProcessPacket(frame, time.Now())
-	if err != nil {
+	pkt := sc.Packet()
+	vni := pkt.VXLAN.VNI
+	// The tracker locks internally; in workers mode flow affinity keeps
+	// each flow's updates on one worker regardless.
+	s.hh.Observe(0, vni, pkt.FlowHash(), pkt.InnerDst(), pkt.WireLen)
+	var res xgwh.ForwardResult
+	if err := s.gw.ProcessParsed(sc, now, &res); err != nil {
 		s.sloDrop(vni)
 		return err
 	}
 	switch res.Action {
 	case xgwh.ActionForward:
 		s.sloForward(vni)
-		ua := s.underlay[res.NC]
-		if ua == nil {
-			return fmt.Errorf("no underlay address for NC %v", res.NC)
-		}
-		// res.Out is the rewritten full frame; the UDP payload starts
-		// after outer Eth/IP/UDP.
-		if s.pcap != nil {
-			if err := s.pcap.WritePacket(time.Now(), res.Out); err != nil {
-				return err
-			}
-		}
-		out, err := vxlanPayload(res.Out)
-		if err != nil {
-			return err
-		}
-		_, err = s.conn.WriteToUDP(out, ua)
-		return err
+		return s.send(res.NC, res.Out, now)
 	case xgwh.ActionFallback:
+		if s.workers > 1 {
+			// Hold the lock across the send: the DPU's and x86's Out alias
+			// per-device and per-node serialize buffers until their next
+			// packet.
+			s.fbMu.Lock()
+			defer s.fbMu.Unlock()
+		}
 		// Three-tier ladder: a hardware table miss tries the DPU warm
 		// tier first; service-steered traffic (SNAT) skips it, since the
 		// stateful services live on x86 only.
@@ -554,59 +510,32 @@ func (s *server) handle(payload []byte) error {
 			s.sloFallbackMiss(vni)
 		}
 		if s.dpu != nil && res.FallbackMiss {
-			dres, served, derr := s.dpu.ProcessOn(s.dpuDevice(frame), frame, time.Now())
+			// The device pick is the flow hash, the same dispatch the
+			// region's lanes use, so a flow's DPU passes land on one
+			// device's scratch.
+			var dres xgwdpu.ForwardResult
+			served, derr := s.dpu.ProcessParsedOn(int(pkt.FlowHash()%uint64(s.dpu.Devices())), pkt, now, &dres)
 			if derr != nil {
 				s.sloDrop(vni)
 				return fmt.Errorf("dpu path: %w", derr)
 			}
 			if served {
 				s.sloDPUServed(vni)
-				if s.pcap != nil {
-					if err := s.pcap.WritePacket(time.Now(), dres.Out); err != nil {
-						return err
-					}
-				}
-				return s.send(dres.NC, dres.Out)
+				return s.send(dres.NC, dres.Out, now)
 			}
 		}
 		// HW/SW co-design: the software node completes the long tail.
-		fres, ferr := s.x86.ProcessFallback(frame, time.Now())
-		if ferr != nil {
+		var fres xgw86.FallbackResult
+		if ferr := s.x86.ProcessParsed(pkt, now, &fres); ferr != nil {
 			s.sloDrop(vni)
 			return fmt.Errorf("software path: %w", ferr)
 		}
 		s.sloFallback(vni, res.FallbackMiss)
-		ua := s.underlay[fres.NC]
-		if ua == nil {
-			return fmt.Errorf("no underlay address for NC %v", fres.NC)
-		}
-		if s.pcap != nil {
-			if err := s.pcap.WritePacket(time.Now(), fres.Out); err != nil {
-				return err
-			}
-		}
-		out, err := vxlanPayload(fres.Out)
-		if err != nil {
-			return err
-		}
-		_, err = s.conn.WriteToUDP(out, ua)
-		return err
+		return s.send(fres.NC, fres.Out, now)
 	default:
 		s.sloDrop(vni)
 		return fmt.Errorf("dropped: %s", res.DropReason)
 	}
-}
-
-// dpuDevice picks the warm-tier device for a frame by flow hash, the same
-// dispatch the region's lanes use, so a flow's DPU passes always land on
-// one device's scratch. Frames that reached the fallback tail parsed in
-// the gateway, so the front parse cannot fail here; 0 is a safe default.
-func (s *server) dpuDevice(frame []byte) int {
-	var fm netpkt.FrontMeta
-	if err := netpkt.ParseFront(frame, &fm); err != nil {
-		return 0
-	}
-	return int(fm.Flow.FastHash() % uint64(s.dpu.Devices()))
 }
 
 // synthesizeOuter wraps the datagram payload in the outer headers the

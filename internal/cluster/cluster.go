@@ -432,9 +432,10 @@ type Region struct {
 
 	stats regionCounters
 
-	// obs, when set, receives steer-stage latency observations (front parse
-	// + steering decision). Set it via EnableStageMetrics before traffic
-	// starts — it is read without synchronization on the hot path.
+	// obs, when set, receives parse- and steer-stage latency observations
+	// (the lane's one parse, then the steering decision). Set it via
+	// EnableStageMetrics before traffic starts — it is read without
+	// synchronization on the hot path.
 	obs *metrics.StageHistograms
 
 	// tr, when set, is the flight recorder the front end and every wired
@@ -462,10 +463,11 @@ type Region struct {
 	fbMu []sync.Mutex
 }
 
-// EnableStageMetrics attaches the steer-stage latency histogram to the
-// region's front-end decision (the parse/pipeline/rewrite stages are
-// observed inside each gateway — see xgwh.Gateway.EnableStageMetrics). Call
-// before submitting traffic; pass nil to detach.
+// EnableStageMetrics attaches the parse- and steer-stage latency histograms
+// to the lanes' single parse and front-end decision (the pipeline/rewrite
+// stages are observed inside each gateway — see
+// xgwh.Gateway.EnableStageMetrics). Call before submitting traffic; pass nil
+// to detach.
 func (r *Region) EnableStageMetrics(sh *metrics.StageHistograms) { r.obs = sh }
 
 // Front-end drop-reason codes: the interned taxonomy for packets the region
@@ -649,7 +651,7 @@ func NewRegion(cfg Config, clusters, fallbackNodes int) *Region {
 		r.dpuMu = make([]sync.Mutex, cfg.DPUDevices)
 	}
 	r.fbMu = make([]sync.Mutex, len(r.Fallback))
-	r.lane0 = Lane{r: r, ctr: &r.stats, serial: true}
+	r.lane0 = Lane{r: r, ctr: &r.stats, sc: xgwh.NewPacketScratch(), serial: true}
 	return r
 }
 
@@ -763,7 +765,10 @@ func (r *Region) SetClusterEnabled(id int, enabled bool) {
 // ClusterEnabled reports whether the cluster accepts user traffic.
 func (r *Region) ClusterEnabled(id int) bool { return !r.disabled[id] }
 
-// Result is the region-level outcome of one packet.
+// Result is the region-level outcome of one packet. The Out slices alias
+// scratch: GW.Out the lane's serialize buffer (a wrapped gateway's own),
+// DPUOut.Out and FallbackOut.Out the serving device's or node's. Each is
+// valid until that buffer's next packet; copy it to keep it longer.
 type Result struct {
 	ClusterID int
 	NodeID    string
@@ -783,11 +788,10 @@ type Result struct {
 }
 
 // ProcessPacket carries a packet through the region: steering → ECMP →
-// XGW-H → (optionally) XGW-x86 fallback. It needs only the packet's VNI and
-// flow hash before handing it to a node, as the front-end switches do; they
-// are read via the lightweight front parse, and the hash is computed once
-// and reused for steering, the node pick, the egress-port pick and both
-// fallback picks.
+// XGW-H → (optionally) DPU → XGW-x86 fallback, in one pass on the region's
+// serial lane. The packet is parsed once; its flow hash is computed once and
+// reused for steering, the node pick, the egress-port pick and the DPU and
+// fallback picks; every tier consumes the same parse.
 func (r *Region) ProcessPacket(raw []byte, now time.Time) (Result, error) {
 	return r.lane0.Process(raw, now)
 }

@@ -24,19 +24,23 @@ import (
 // cluster modes — the same control-plane quiescence contract the Driver
 // documents) or internally synchronized (gateway tables, SNAT, counters).
 //
-// Hardware gateways are entered through their per-lane PacketScratch, so N
+// The lane is a single pass: each packet is parsed once into the lane's
+// PacketScratch, its flow hash is computed once, and XGW-H, the DPU and
+// XGW-x86 all consume that parsed packet, writing their verdicts in place
+// into the caller's Result. Hardware gateways run on the lane scratch, so N
 // lanes drive one chip model without serializing. Gateways wrapped by fault
-// injectors (anything that is not a *xgwh.Gateway) and the XGW-x86 fallback
-// nodes keep their single-threaded scratch, so concurrent lanes take a
-// per-node mutex there — fallback is the slow path by design, and chaos
+// injectors (anything that is not a *xgwh.Gateway) only take raw bytes and
+// keep their single-threaded scratch, and DPU devices and XGW-x86 nodes keep
+// single-threaded serialize buffers, so concurrent lanes take a per-node
+// mutex there — the software tiers are the slow path by design, and chaos
 // wrappers are not performance subjects.
 type Lane struct {
 	r   *Region
 	ctr *regionCounters
 	sc  *xgwh.PacketScratch
 	// serial marks the region's built-in lane: single-goroutine by
-	// contract, entering gateways and fallback nodes directly (no locks,
-	// gateway-embedded scratch) exactly as the pre-sharding path did.
+	// contract, entering gateway wrappers, DPU devices and fallback nodes
+	// without locks.
 	serial bool
 
 	tr    *trace.Recorder
@@ -64,9 +68,7 @@ func (ln *Lane) EnableTracing(rec *trace.Recorder) {
 	if rec != nil {
 		ln.trDev = rec.InternDevice("frontend")
 	}
-	if ln.sc != nil {
-		ln.sc.SetRecorder(rec)
-	}
+	ln.sc.SetRecorder(rec)
 }
 
 // EnableHeavyHitters attaches the tracker this lane's steering decisions
@@ -111,83 +113,138 @@ func (ln *Lane) frontDrop(code uint8, flowHash uint64, vni netpkt.VNI, now time.
 	}
 }
 
-// processGW enters a cluster node's gateway. Hardware gateways take the
-// lane's scratch (safe concurrently); anything else falls back to the
-// node-embedded scratch — directly on the serial lane, under the node mutex
-// on shard lanes.
-func (ln *Lane) processGW(node *Node, raw []byte, now time.Time) (xgwh.ForwardResult, error) {
-	if g, ok := node.GW.(*xgwh.Gateway); ok && ln.sc != nil {
-		return g.ProcessPacketWith(ln.sc, raw, now)
+// processGW runs the lane's parsed packet through a cluster node's gateway,
+// writing the verdict into *out. Hardware gateways consume the lane's
+// scratch directly (safe concurrently). Anything else — fault-injection
+// wrappers — only speaks raw bytes and parses into its node-embedded
+// scratch: directly on the serial lane, under the node mutex on shard lanes.
+func (ln *Lane) processGW(node *Node, raw []byte, now time.Time, out *xgwh.ForwardResult) error {
+	if g, ok := node.GW.(*xgwh.Gateway); ok {
+		return g.ProcessParsed(ln.sc, now, out)
 	}
+	var err error
 	if ln.serial {
-		return node.GW.ProcessPacket(raw, now)
+		*out, err = node.GW.ProcessPacket(raw, now)
+		return err
 	}
 	node.mu.Lock()
-	defer node.mu.Unlock()
-	return node.GW.ProcessPacket(raw, now)
+	*out, err = node.GW.ProcessPacket(raw, now)
+	node.mu.Unlock()
+	return err
 }
 
-// processFallback completes a steered packet on the fallback pool node the
-// flow hashes to. XGW-x86 nodes keep a single-threaded reencap scratch, so
-// shard lanes serialize per node.
-func (ln *Lane) processFallback(fb *xgw86.Node, idx int, raw []byte, now time.Time) (xgw86.FallbackResult, error) {
+// processFallback completes the lane's parsed packet on fallback pool node
+// idx. XGW-x86 nodes keep a single-threaded reencap scratch, so shard lanes
+// serialize per node.
+func (ln *Lane) processFallback(idx int, now time.Time, out *xgw86.FallbackResult) error {
+	fb := ln.r.Fallback[idx]
 	if ln.serial {
-		return fb.ProcessFallback(raw, now)
+		return fb.ProcessParsed(ln.sc.Packet(), now, out)
 	}
 	ln.r.fbMu[idx].Lock()
 	defer ln.r.fbMu[idx].Unlock()
-	return fb.ProcessFallback(raw, now)
+	return fb.ProcessParsed(ln.sc.Packet(), now, out)
 }
 
-// processDPU attempts the warm-tier lookup on the DPU device the flow
-// hashes to. Devices keep single-threaded scratch like x86 nodes, so shard
-// lanes serialize per device.
-func (ln *Lane) processDPU(dev int, raw []byte, now time.Time) (xgwdpu.ForwardResult, bool, error) {
+// processDPU attempts the warm-tier lookup of the lane's parsed packet on
+// DPU device dev. Devices keep single-threaded scratch like x86 nodes, so
+// shard lanes serialize per device.
+func (ln *Lane) processDPU(dev int, now time.Time, out *xgwdpu.ForwardResult) (bool, error) {
 	if ln.serial {
-		return ln.r.DPU.ProcessOn(dev, raw, now)
+		return ln.r.DPU.ProcessParsedOn(dev, ln.sc.Packet(), now, out)
 	}
 	ln.r.dpuMu[dev].Lock()
 	defer ln.r.dpuMu[dev].Unlock()
-	return ln.r.DPU.ProcessOn(dev, raw, now)
+	return ln.r.DPU.ProcessParsedOn(dev, ln.sc.Packet(), now, out)
 }
 
 // Process carries one packet through the region on this lane: steering →
-// ECMP → XGW-H → (optionally) XGW-x86 fallback. Semantics and accounting are
+// ECMP → XGW-H → (optionally) DPU → XGW-x86. Semantics and accounting are
 // identical to Region.ProcessPacket — which is this method on the region's
 // built-in lane.
 func (ln *Lane) Process(raw []byte, now time.Time) (Result, error) {
-	r := ln.r
-	obs := r.obs
+	var res Result
+	err := ln.process(raw, now, nil, nil, &res)
+	return res, err
+}
+
+// process is the lane's single pass over one packet: one full parse into
+// the lane scratch, one flow hash (memoized on the parsed packet), and
+// every tier's verdict written in place into *out, which must be zero on
+// entry. steer and memo carry ProcessBatch's per-VNI memoization and are
+// nil on the single-shot path.
+func (ln *Lane) process(raw []byte, now time.Time, steer *steerMemo, memo *clusterMemo, out *Result) error {
+	obs := ln.r.obs
 	var t0 time.Time
 	if obs != nil {
 		t0 = time.Now()
 	}
-	var fm netpkt.FrontMeta
-	if err := netpkt.ParseFront(raw, &fm); err != nil {
+	if err := ln.sc.Parse(raw); err != nil {
 		ln.ctr.dropped.Add(1)
 		ln.frontDrop(fDropParseError, 0, 0, now)
-		return Result{}, err
+		return err
 	}
-	flowHash := fm.Flow.FastHash()
-	clusterID, nodeIdx, err := r.FrontEnd.Route(fm.VNI, flowHash)
+	pkt := ln.sc.Packet()
+	if obs != nil {
+		t1 := time.Now()
+		obs.Parse.Observe(float64(t1.Sub(t0).Nanoseconds()))
+		t0 = t1
+	}
+	vni, flowHash := pkt.VXLAN.VNI, pkt.FlowHash()
+	clusterID, nodeIdx, err := ln.route(vni, flowHash, steer)
 	if err != nil {
 		ln.ctr.noRoute.Add(1)
-		ln.frontDrop(fDropNoRoute, flowHash, fm.VNI, now)
-		return Result{}, err
+		ln.frontDrop(fDropNoRoute, flowHash, vni, now)
+		return err
 	}
 	if obs != nil {
 		obs.Steer.Observe(float64(time.Since(t0).Nanoseconds()))
 	}
 	if hh := ln.hh; hh != nil {
-		hh.Observe(clusterID, fm.VNI, flowHash, fm.Flow.Dst, fm.WireLen)
+		hh.Observe(clusterID, vni, flowHash, pkt.InnerDst(), pkt.WireLen)
 	}
-	return ln.deliver(raw, fm.VNI, flowHash, clusterID, nodeIdx, now, nil)
+	return ln.deliver(raw, vni, flowHash, clusterID, nodeIdx, now, memo, out)
+}
+
+// route steers a packet to its cluster and ECMP node. With a batch memo the
+// VNI's steering decision is reused across consecutive same-VNI packets;
+// VNIs with an active migration ramp route per flow and bypass it.
+func (ln *Lane) route(vni netpkt.VNI, flowHash uint64, steer *steerMemo) (clusterID, nodeIdx int, err error) {
+	fe := ln.r.FrontEnd
+	if steer == nil {
+		return fe.Route(vni, flowHash)
+	}
+	if steer.ok && steer.vni == vni {
+		if ni, ok := steer.group.PickHash(flowHash); ok {
+			return steer.cluster, ni, nil
+		}
+		// Group emptied out: take the uncached path for the canonical
+		// error and stats.
+		steer.ok = false
+	}
+	if clusterID, nodeIdx, err = fe.Route(vni, flowHash); err != nil {
+		return 0, 0, err
+	}
+	if cl, g, ramped, rerr := fe.RouteInfo(vni); rerr == nil && !ramped {
+		*steer = steerMemo{ok: true, vni: vni, cluster: cl, group: g}
+	} else {
+		steer.ok = false
+	}
+	return clusterID, nodeIdx, nil
 }
 
 // deliver carries a routed packet into its cluster and, when steered there,
-// the XGW-x86 fallback pool. memo may be nil (single-shot path). vni is the
-// front parse's tenant id, carried along for flight-recorder events.
-func (ln *Lane) deliver(raw []byte, vni netpkt.VNI, flowHash uint64, clusterID, nodeIdx int, now time.Time, memo *clusterMemo) (Result, error) {
+// the DPU tier and the XGW-x86 fallback pool, writing each tier's verdict
+// into *out. memo may be nil (single-shot path). vni is the parsed tenant
+// id, carried along for flight-recorder events.
+//
+// Each packet is booked under exactly one outcome — forwarded, dpu-served,
+// fallback, degraded, dropped (or, before delivery, no-route): a pool or
+// DPU error books dropped alone, and fallback/degraded are booked only once
+// the pool completed the packet. The per-tenant SLO ledger mirrors every
+// region counter site (one increment beside each ctr.* add), so the two
+// ledgers reconcile field for field.
+func (ln *Lane) deliver(raw []byte, vni netpkt.VNI, flowHash uint64, clusterID, nodeIdx int, now time.Time, memo *clusterMemo, out *Result) error {
 	r := ln.r
 	var disabled, degraded bool
 	var c *Cluster
@@ -205,45 +262,43 @@ func (ln *Lane) deliver(raw []byte, vni netpkt.VNI, flowHash uint64, clusterID, 
 	if disabled {
 		ln.ctr.dropped.Add(1)
 		ln.frontDrop(fDropClusterDisabled, flowHash, vni, now)
-		return Result{}, ErrClusterDisabled
+		return ErrClusterDisabled
 	}
+	sloCol := ln.slo
 	if degraded {
 		// Graceful degradation: both main and backup impaired — the
 		// XGW-x86 pool carries the cluster's residual traffic.
-		out := Result{ClusterID: clusterID}
+		out.ClusterID = clusterID
 		if len(r.Fallback) == 0 {
 			ln.ctr.dropped.Add(1)
 			ln.frontDrop(fDropNoLiveNode, flowHash, vni, now)
-			return out, ErrNoLiveNodes
+			return ErrNoLiveNodes
 		}
-		ln.ctr.degraded.Add(1)
-		if s := ln.slo; s != nil {
-			s.Degraded(vni)
-		}
-		fbIdx := int(flowHash % uint64(len(r.Fallback)))
-		fres, ferr := ln.processFallback(r.Fallback[fbIdx], fbIdx, raw, now)
-		if ferr != nil {
+		if ferr := ln.processFallback(int(flowHash%uint64(len(r.Fallback))), now, &out.FallbackOut); ferr != nil {
 			ln.ctr.dropped.Add(1)
 			ln.frontDrop(fDropFallbackError, flowHash, vni, now)
-			return out, ferr
+			return ferr
 		}
-		out.GW = xgwh.ForwardResult{Action: xgwh.ActionFallback}
+		ln.ctr.degraded.Add(1)
+		if sloCol != nil {
+			sloCol.Degraded(vni)
+		}
+		out.GW.Action = xgwh.ActionFallback
 		out.ViaFallback = true
-		out.FallbackOut = fres
-		return out, nil
+		return nil
 	}
 	live := c.LiveNodes()
 	if len(live) == 0 {
 		ln.ctr.dropped.Add(1)
 		ln.frontDrop(fDropNoLiveNode, flowHash, vni, now)
-		return Result{}, ErrNoLiveNodes
+		return ErrNoLiveNodes
 	}
 	node := live[nodeIdx%len(live)]
 	port, ok := node.PickPort(flowHash)
 	if !ok {
 		ln.ctr.dropped.Add(1)
 		ln.frontDrop(fDropNoHealthyPort, flowHash, vni, now)
-		return Result{}, ErrNoLiveNodes
+		return ErrNoLiveNodes
 	}
 	if tr := ln.tr; tr != nil && tr.Sampled(flowHash) {
 		// The steering hop of a sampled flow's timeline: which node the
@@ -251,17 +306,12 @@ func (ln *Lane) deliver(raw []byte, vni netpkt.VNI, flowHash uint64, clusterID, 
 		tr.Record(trace.Event{TimeNs: now.UnixNano(), FlowHash: flowHash,
 			VNI: vni, Dev: node.trDev, Stage: trace.StageFront, Verdict: trace.VerdictSteered})
 	}
-	res, err := ln.processGW(node, raw, now)
-	if err != nil {
-		return Result{}, err
+	if err := ln.processGW(node, raw, now, &out.GW); err != nil {
+		out.GW = xgwh.ForwardResult{}
+		return err
 	}
-	out := Result{ClusterID: clusterID, NodeID: node.ID, EgressPort: port, GW: res}
-	// The per-tenant SLO ledger mirrors every region counter site exactly
-	// (one increment beside each ctr.* add), so the two ledgers reconcile
-	// field-for-field — including the shared quirk that a pool error after
-	// a booked fallback leaves both fallback and dropped incremented.
-	sloCol := ln.slo
-	switch res.Action {
+	out.ClusterID, out.NodeID, out.EgressPort = clusterID, node.ID, port
+	switch res := &out.GW; res.Action {
 	case xgwh.ActionForward:
 		ln.ctr.forwarded.Add(1)
 		if sloCol != nil {
@@ -282,12 +332,11 @@ func (ln *Lane) deliver(raw []byte, vni netpkt.VNI, flowHash uint64, clusterID, 
 				sloCol.FallbackMiss(vni)
 			}
 			if dpu := r.DPU; dpu != nil {
-				dev := int(flowHash % uint64(dpu.Devices()))
-				dres, served, derr := ln.processDPU(dev, raw, now)
+				served, derr := ln.processDPU(int(flowHash%uint64(dpu.Devices())), now, &out.DPUOut)
 				if derr != nil {
 					ln.ctr.dropped.Add(1)
 					ln.frontDrop(fDropDPUError, flowHash, vni, now)
-					return out, nil
+					return nil
 				}
 				if served {
 					ln.ctr.dpuServed.Add(1)
@@ -295,8 +344,7 @@ func (ln *Lane) deliver(raw []byte, vni netpkt.VNI, flowHash uint64, clusterID, 
 						sloCol.DPUServed(vni)
 					}
 					out.ViaDPU = true
-					out.DPUOut = dres
-					return out, nil
+					return nil
 				}
 			}
 			ln.ctr.fallbackMissX86.Add(1)
@@ -304,73 +352,34 @@ func (ln *Lane) deliver(raw []byte, vni netpkt.VNI, flowHash uint64, clusterID, 
 				sloCol.FallbackMissX86(vni)
 			}
 		}
+		if len(r.Fallback) > 0 {
+			if ferr := ln.processFallback(int(flowHash%uint64(len(r.Fallback))), now, &out.FallbackOut); ferr != nil {
+				ln.ctr.dropped.Add(1)
+				ln.frontDrop(fDropFallbackError, flowHash, vni, now)
+				return nil
+			}
+			out.ViaFallback = true
+		}
 		ln.ctr.fallback.Add(1)
 		if sloCol != nil {
 			sloCol.Fallback(vni)
 		}
-		if len(r.Fallback) == 0 {
-			return out, nil
-		}
-		fbIdx := int(flowHash % uint64(len(r.Fallback)))
-		fres, ferr := ln.processFallback(r.Fallback[fbIdx], fbIdx, raw, now)
-		if ferr != nil {
-			ln.ctr.dropped.Add(1)
-			ln.frontDrop(fDropFallbackError, flowHash, vni, now)
-			return out, nil
-		}
-		out.ViaFallback = true
-		out.FallbackOut = fres
 	}
-	return out, nil
+	return nil
 }
 
 // ProcessBatch runs a batch of raw packets through the lane in arrival
 // order, with the same steering/cluster-mode memoization as
 // Region.ProcessBatch (which is this method on the region's built-in lane).
+// Each packet takes the single pass of Process, its result written in
+// place into the appended slot.
 func (ln *Lane) ProcessBatch(raws [][]byte, now time.Time, out []BatchResult) []BatchResult {
-	r := ln.r
 	var steer steerMemo
 	var cmemo clusterMemo
 	for _, raw := range raws {
-		var fm netpkt.FrontMeta
-		if err := netpkt.ParseFront(raw, &fm); err != nil {
-			ln.ctr.dropped.Add(1)
-			ln.frontDrop(fDropParseError, 0, 0, now)
-			out = append(out, BatchResult{Err: err})
-			continue
-		}
-		flowHash := fm.Flow.FastHash()
-		var clusterID, nodeIdx int
-		if steer.ok && steer.vni == fm.VNI {
-			ni, ok := steer.group.PickHash(flowHash)
-			if !ok {
-				// Group emptied out: take the uncached path for the
-				// canonical error and stats.
-				steer.ok = false
-			} else {
-				clusterID, nodeIdx = steer.cluster, ni
-			}
-		}
-		if !steer.ok || steer.vni != fm.VNI {
-			var err error
-			clusterID, nodeIdx, err = r.FrontEnd.Route(fm.VNI, flowHash)
-			if err != nil {
-				ln.ctr.noRoute.Add(1)
-				ln.frontDrop(fDropNoRoute, flowHash, fm.VNI, now)
-				out = append(out, BatchResult{Err: err})
-				continue
-			}
-			if cl, g, ramped, err := r.FrontEnd.RouteInfo(fm.VNI); err == nil && !ramped {
-				steer.ok, steer.vni, steer.cluster, steer.group = true, fm.VNI, cl, g
-			} else {
-				steer.ok = false
-			}
-		}
-		if hh := ln.hh; hh != nil {
-			hh.Observe(clusterID, fm.VNI, flowHash, fm.Flow.Dst, fm.WireLen)
-		}
-		res, err := ln.deliver(raw, fm.VNI, flowHash, clusterID, nodeIdx, now, &cmemo)
-		out = append(out, BatchResult{Result: res, Err: err})
+		out = append(out, BatchResult{})
+		br := &out[len(out)-1]
+		br.Err = ln.process(raw, now, &steer, &cmemo, &br.Result)
 	}
 	return out
 }

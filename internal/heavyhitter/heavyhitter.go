@@ -17,6 +17,7 @@
 package heavyhitter
 
 import (
+	"encoding/binary"
 	"math"
 	"net/netip"
 	"sort"
@@ -25,32 +26,45 @@ import (
 	"sailfish/internal/netpkt"
 )
 
-// ssSlot is one monitored counter in a SpaceSaving sketch. A slot never
-// moves once assigned; only its heap position changes.
+// ssSlot is one monitored key in a SpaceSaving sketch. A slot never moves
+// once assigned; its count lives in its heap cell and its heap position in
+// the sketch's dense pos array.
 type ssSlot[K comparable] struct {
-	key   K
-	count uint64 // estimated count (an overestimate)
-	err   uint64 // max overestimation carried in from the evicted entry
-	pos   int32  // position of this slot in heap
+	key K
+	err uint64 // max overestimation carried in from the evicted entry
+	tag uint32 // the key's index tag, kept so eviction can unindex it
 }
 
-// SpaceSaving is a top-K frequency sketch over keys of type K. Entries live
-// in stable slots and the min-heap orders slot numbers, so a sift moves
-// int32s and the key index is written only when a key enters or leaves the
+// ssCell is one min-heap cell: a slot's estimated count (an overestimate)
+// next to the slot number, so a sift compares and moves cells without
+// touching the slots.
+type ssCell struct {
+	count uint64
+	slot  int32
+}
+
+// SpaceSaving is a top-K frequency sketch over keys of type K. Keys live in
+// stable slots found through an open-addressed, tag-filtered index; the
+// min-heap holds (count, slot) cells and pos maps each slot to its heap
+// position. The index is written only when a key enters or leaves the
 // sketch. Not concurrency-safe; Tracker provides locking.
 type SpaceSaving[K comparable] struct {
 	k     int
+	hash  func(K) uint64
 	slots []ssSlot[K]
-	heap  []int32     // slot numbers, min-heap ordered by count
-	index map[K]int32 // key -> slot
+	pos   []int32  // slot -> heap position
+	heap  []ssCell // min-heap ordered by count
+	index slotIndex
 }
 
-// NewSpaceSaving builds a sketch tracking at most k keys.
-func NewSpaceSaving[K comparable](k int) *SpaceSaving[K] {
+// NewSpaceSaving builds a sketch tracking at most k keys. hash spreads keys
+// over the index; any function whose equal keys hash equal works, and a
+// well-mixed one keeps probe chains short.
+func NewSpaceSaving[K comparable](k int, hash func(K) uint64) *SpaceSaving[K] {
 	if k < 1 {
 		k = 1
 	}
-	return &SpaceSaving[K]{k: k, index: make(map[K]int32, k)}
+	return &SpaceSaving[K]{k: k, hash: hash, index: newSlotIndex(k)}
 }
 
 // Observe adds n occurrences of key. If the key is untracked and the sketch
@@ -58,46 +72,68 @@ func NewSpaceSaving[K comparable](k int) *SpaceSaving[K] {
 // entry's error bound — the SpaceSaving recycle step. Once the working set
 // of hot keys is resident this path performs no allocation.
 func (s *SpaceSaving[K]) Observe(key K, n uint64) {
-	s.absorb(key, n, 0)
+	s.absorb(key, tagOf(s.hash(key)), n, 0)
 }
 
-// absorb adds count occurrences of key carrying err of overestimation: the
-// key's own error bound on a hit, and on a newcomer that evicts the minimum,
-// err plus the evicted count. Observe is absorb with no error; Tracker
-// merging folds other sketches' exported entries in through it.
-func (s *SpaceSaving[K]) absorb(key K, count, err uint64) {
-	if i, ok := s.index[key]; ok {
-		e := &s.slots[i]
-		e.count += count
-		e.err += err
-		s.siftDown(int(e.pos))
+// absorb adds count occurrences of key (whose index tag is tag) carrying
+// err of overestimation: the key's own error bound on a hit, and on a
+// newcomer that evicts the minimum, err plus the evicted count. Observe is
+// absorb with no error; the Tracker feeds it precomputed tags, and merging
+// folds other sketches' exported entries in with their stored tags.
+func (s *SpaceSaving[K]) absorb(key K, tag uint32, count, err uint64) {
+	if sl := s.lookup(key, tag); sl >= 0 {
+		i := s.pos[sl]
+		s.heap[i].count += count
+		if err != 0 {
+			s.slots[sl].err += err
+		}
+		s.siftDown(int(i))
 		return
 	}
 	if len(s.slots) < s.k {
-		i := int32(len(s.slots))
-		s.slots = append(s.slots, ssSlot[K]{key: key, count: count, err: err, pos: int32(len(s.heap))})
-		s.heap = append(s.heap, i)
-		s.index[key] = i
+		sl := int32(len(s.slots))
+		s.slots = append(s.slots, ssSlot[K]{key: key, err: err, tag: tag})
+		s.pos = append(s.pos, int32(len(s.heap)))
+		s.heap = append(s.heap, ssCell{count: count, slot: sl})
+		s.index.insert(tag, sl)
 		s.siftUp(len(s.heap) - 1)
 		return
 	}
 	// Evict the minimum: the newcomer inherits its counter, and that old
 	// count becomes the bound on how much we may now be overestimating.
-	i := s.heap[0]
-	e := &s.slots[i]
-	delete(s.index, e.key)
-	e.err = e.count + err
-	e.count += count
-	e.key = key
-	s.index[key] = i
+	c := &s.heap[0]
+	e := &s.slots[c.slot]
+	s.index.remove(e.tag, c.slot)
+	e.err = c.count + err
+	c.count += count
+	e.key, e.tag = key, tag
+	s.index.insert(tag, c.slot)
 	s.siftDown(0)
+}
+
+// lookup returns key's slot, or -1 when the sketch does not track it. Only
+// cells whose tag matches cost a key comparison.
+func (s *SpaceSaving[K]) lookup(key K, tag uint32) int32 {
+	ix := &s.index
+	for i := tag & ix.mask; ; i = (i + 1) & ix.mask {
+		c := ix.cells[i]
+		if c == 0 {
+			return -1
+		}
+		if uint32(c>>32) == tag {
+			if sl := int32(uint32(c)) - 1; s.slots[sl].key == key {
+				return sl
+			}
+		}
+	}
 }
 
 // reset empties the sketch in place, keeping its storage for the next
 // window.
 func (s *SpaceSaving[K]) reset() {
-	clear(s.index)
+	s.index.reset()
 	s.slots = s.slots[:0]
+	s.pos = s.pos[:0]
 	s.heap = s.heap[:0]
 }
 
@@ -112,9 +148,9 @@ type Counted[K comparable] struct {
 // Top returns all tracked entries, highest estimated count first.
 func (s *SpaceSaving[K]) Top() []Counted[K] {
 	out := make([]Counted[K], len(s.heap))
-	for i, si := range s.heap {
-		e := &s.slots[si]
-		out[i] = Counted[K]{Key: e.key, Count: e.count, Err: e.err}
+	for i, c := range s.heap {
+		e := &s.slots[c.slot]
+		out[i] = Counted[K]{Key: e.key, Count: c.count, Err: e.err}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Count > out[j].Count })
 	return out
@@ -123,44 +159,127 @@ func (s *SpaceSaving[K]) Top() []Counted[K] {
 // Len reports how many keys the sketch currently tracks.
 func (s *SpaceSaving[K]) Len() int { return len(s.heap) }
 
-func (s *SpaceSaving[K]) less(i, j int) bool {
-	return s.slots[s.heap[i]].count < s.slots[s.heap[j]].count
-}
-
-func (s *SpaceSaving[K]) swap(i, j int) {
-	h := s.heap
-	h[i], h[j] = h[j], h[i]
-	s.slots[h[i]].pos = int32(i)
-	s.slots[h[j]].pos = int32(j)
-}
-
+// siftUp and siftDown carry the moving cell in hand and shift the cells it
+// passes, which leaves the heap exactly as the swap-per-step sift would.
 func (s *SpaceSaving[K]) siftUp(i int) {
+	h := s.heap
+	c := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			return
+		if c.count >= h[parent].count {
+			break
 		}
-		s.swap(i, parent)
+		h[i] = h[parent]
+		s.pos[h[i].slot] = int32(i)
 		i = parent
 	}
+	h[i] = c
+	s.pos[c.slot] = int32(i)
 }
 
 func (s *SpaceSaving[K]) siftDown(i int) {
-	n := len(s.heap)
+	h := s.heap
+	n := len(h)
+	c := h[i]
 	for {
-		least := i
-		if l := 2*i + 1; l < n && s.less(l, least) {
-			least = l
+		least, min := i, c.count
+		if l := 2*i + 1; l < n && h[l].count < min {
+			least, min = l, h[l].count
 		}
-		if r := 2*i + 2; r < n && s.less(r, least) {
+		if r := 2*i + 2; r < n && h[r].count < min {
 			least = r
 		}
 		if least == i {
-			return
+			break
 		}
-		s.swap(i, least)
+		h[i] = h[least]
+		s.pos[h[i].slot] = int32(i)
 		i = least
 	}
+	h[i] = c
+	s.pos[c.slot] = int32(i)
+}
+
+// slotIndex is an open-addressed hash index from a key's tag to the slot
+// holding the key: linear probing over a power-of-two table whose cells
+// pack the 32-bit tag (high half) with slot+1 (low half; 0 marks an empty
+// cell). The tag's low bits pick the home cell and the rest filter probes,
+// so a lookup compares keys only on a full tag match. Deletion shifts the
+// rest of the probe chain back instead of leaving tombstones, so a sketch
+// evicting on every packet never degrades its chains.
+type slotIndex struct {
+	cells []uint64
+	mask  uint32
+	n     int
+}
+
+// newSlotIndex sizes an index for n keys at a load factor of at most 1/2.
+func newSlotIndex(n int) slotIndex {
+	size := 8
+	for size < 2*n {
+		size <<= 1
+	}
+	return slotIndex{cells: make([]uint64, size), mask: uint32(size - 1)}
+}
+
+// tagOf folds a key hash into its index tag: Fibonacci hashing, whose high
+// bits depend on every bit of h.
+func tagOf(h uint64) uint32 { return uint32((h * 0x9e3779b97f4a7c15) >> 32) }
+
+// insert indexes slot under tag. The caller guarantees the key is absent.
+func (ix *slotIndex) insert(tag uint32, slot int32) {
+	i := tag & ix.mask
+	for ix.cells[i] != 0 {
+		i = (i + 1) & ix.mask
+	}
+	ix.cells[i] = uint64(tag)<<32 | uint64(slot+1)
+	ix.n++
+}
+
+// remove unindexes slot (indexed under tag) and back-shifts every later
+// cell of its probe chain that may move into the hole.
+func (ix *slotIndex) remove(tag uint32, slot int32) {
+	want := uint64(tag)<<32 | uint64(slot+1)
+	i := tag & ix.mask
+	for ix.cells[i] != want {
+		i = (i + 1) & ix.mask
+	}
+	for j := i; ; {
+		j = (j + 1) & ix.mask
+		c := ix.cells[j]
+		if c == 0 {
+			break
+		}
+		// c may fill the hole at i when i lies on c's probe path, that is
+		// when i is no nearer to j than c's home cell is.
+		if home := uint32(c>>32) & ix.mask; (j-home)&ix.mask >= (j-i)&ix.mask {
+			ix.cells[i] = c
+			i = j
+		}
+	}
+	ix.cells[i] = 0
+	ix.n--
+}
+
+// grow doubles the table when it passes half full; tags carry their home
+// cells, so rehashing needs no keys.
+func (ix *slotIndex) grow() {
+	if 2*(ix.n+1) <= len(ix.cells) {
+		return
+	}
+	old := ix.cells
+	*ix = slotIndex{cells: make([]uint64, 2*len(old)), mask: uint32(2*len(old) - 1)}
+	for _, c := range old {
+		if c != 0 {
+			ix.insert(uint32(c>>32), int32(uint32(c))-1)
+		}
+	}
+}
+
+// reset empties the index in place.
+func (ix *slotIndex) reset() {
+	clear(ix.cells)
+	ix.n = 0
 }
 
 // FlowKey identifies a flow by tenant network and inner 5-tuple hash.
@@ -174,6 +293,20 @@ type FlowKey struct {
 type RouteKey struct {
 	VNI netpkt.VNI
 	DIP netip.Addr
+}
+
+// flowKeyHash and routeKeyHash are the sketches' key hashes. The flow key
+// already carries a flow hash, so one multiply folds the VNI in; the route
+// key mixes the VNI with the destination's 128 address bits.
+func flowKeyHash(vni netpkt.VNI, flowHash uint64) uint64 {
+	return flowHash ^ uint64(vni)*0xc4ceb9fe1a85ec53
+}
+
+func routeKeyHash(vni netpkt.VNI, dip netip.Addr) uint64 {
+	a := dip.As16()
+	h := binary.BigEndian.Uint64(a[8:])*0xff51afd7ed558ccd ^ binary.BigEndian.Uint64(a[:8])
+	h = (h ^ uint64(vni)) * 0xc4ceb9fe1a85ec53
+	return h ^ h>>29
 }
 
 // clusterSketch is one cluster's view: hot flows and hot route entries.
@@ -192,12 +325,16 @@ type vniCount struct {
 
 // Tracker is the controller-facing aggregator the steering paths feed. All
 // methods are safe for concurrent use; Observe takes one uncontended mutex
-// and, in steady state, allocates nothing.
+// and, in steady state, allocates nothing and probes no Go map: cluster
+// sketches sit in a slice indexed by cluster id, and the sketch keys and
+// VNI tallies are found through tag-filtered slot indexes.
 type Tracker struct {
-	mu       sync.Mutex
-	k        int
-	clusters map[int]*clusterSketch
-	vniIndex map[netpkt.VNI]int32 // VNI -> slot in vnis
+	mu sync.Mutex
+	k  int
+	// clusters is indexed by cluster id (the region's small non-negative
+	// cluster indices); nil where a cluster has seen no traffic.
+	clusters []*clusterSketch
+	vniIndex slotIndex // VNI tag -> slot in vnis
 	vnis     []vniCount
 	pkts     uint64
 }
@@ -209,47 +346,60 @@ func NewTracker(k int) *Tracker {
 	if k <= 0 {
 		k = 1024
 	}
-	return &Tracker{
-		k:        k,
-		clusters: make(map[int]*clusterSketch),
-		vniIndex: make(map[netpkt.VNI]int32),
-	}
+	return &Tracker{k: k, vniIndex: newSlotIndex(32)}
 }
 
 // cluster returns cluster id's sketch, creating it on first use.
 func (t *Tracker) cluster(id int) *clusterSketch {
-	cs := t.clusters[id]
-	if cs == nil {
-		cs = &clusterSketch{
-			flows:  NewSpaceSaving[FlowKey](t.k),
-			routes: NewSpaceSaving[RouteKey](t.k),
+	if id < len(t.clusters) {
+		if cs := t.clusters[id]; cs != nil {
+			return cs
 		}
-		t.clusters[id] = cs
+	} else {
+		t.clusters = append(t.clusters, make([]*clusterSketch, id+1-len(t.clusters))...)
 	}
+	cs := &clusterSketch{
+		flows:  NewSpaceSaving(t.k, func(k FlowKey) uint64 { return flowKeyHash(k.VNI, k.Hash) }),
+		routes: NewSpaceSaving(t.k, func(k RouteKey) uint64 { return routeKeyHash(k.VNI, k.DIP) }),
+	}
+	t.clusters[id] = cs
 	return cs
 }
 
 // vni returns vni's tally, creating it on first use.
 func (t *Tracker) vni(vni netpkt.VNI) *vniCount {
-	i, ok := t.vniIndex[vni]
-	if !ok {
-		i = int32(len(t.vnis))
-		t.vnis = append(t.vnis, vniCount{vni: vni})
-		t.vniIndex[vni] = i
+	tag := tagOf(uint64(vni))
+	ix := &t.vniIndex
+	for i := tag & ix.mask; ; i = (i + 1) & ix.mask {
+		c := ix.cells[i]
+		if c == 0 {
+			break
+		}
+		if uint32(c>>32) == tag {
+			if sl := int32(uint32(c)) - 1; t.vnis[sl].vni == vni {
+				return &t.vnis[sl]
+			}
+		}
 	}
-	return &t.vnis[i]
+	ix.grow()
+	ix.insert(tag, int32(len(t.vnis)))
+	t.vnis = append(t.vnis, vniCount{vni: vni})
+	return &t.vnis[len(t.vnis)-1]
 }
 
-// Observe records one steered packet: which cluster it went to, its tenant
-// network, flow hash, inner destination and wire length.
+// Observe records one steered packet: which cluster it went to (the
+// region's non-negative cluster index), its tenant network, flow hash,
+// inner destination and wire length. Both key hashes are computed before
+// the lock is taken.
 func (t *Tracker) Observe(cluster int, vni netpkt.VNI, flowHash uint64, dip netip.Addr, wireLen int) {
 	if t == nil {
 		return
 	}
+	flowTag, routeTag := tagOf(flowKeyHash(vni, flowHash)), tagOf(routeKeyHash(vni, dip))
 	t.mu.Lock()
 	cs := t.cluster(cluster)
-	cs.flows.Observe(FlowKey{VNI: vni, Hash: flowHash}, 1)
-	cs.routes.Observe(RouteKey{VNI: vni, DIP: dip}, 1)
+	cs.flows.absorb(FlowKey{VNI: vni, Hash: flowHash}, flowTag, 1, 0)
+	cs.routes.absorb(RouteKey{VNI: vni, DIP: dip}, routeTag, 1, 0)
 	vc := t.vni(vni)
 	vc.pkts++
 	vc.bytes += uint64(wireLen)
@@ -274,15 +424,18 @@ func Merge(k int, shards ...*Tracker) *Tracker {
 		}
 		t.mu.Lock()
 		for id, cs := range t.clusters {
+			if cs == nil {
+				continue
+			}
 			mc := m.cluster(id)
 			// Entries fold in heap order.
-			for _, i := range cs.flows.heap {
-				e := &cs.flows.slots[i]
-				mc.flows.absorb(e.key, e.count, e.err)
+			for _, c := range cs.flows.heap {
+				e := &cs.flows.slots[c.slot]
+				mc.flows.absorb(e.key, e.tag, c.count, e.err)
 			}
-			for _, i := range cs.routes.heap {
-				e := &cs.routes.slots[i]
-				mc.routes.absorb(e.key, e.count, e.err)
+			for _, c := range cs.routes.heap {
+				e := &cs.routes.slots[c.slot]
+				mc.routes.absorb(e.key, e.tag, c.count, e.err)
 			}
 		}
 		for _, vc := range t.vnis {
@@ -308,10 +461,12 @@ func (t *Tracker) Reset() {
 	}
 	t.mu.Lock()
 	for _, cs := range t.clusters {
-		cs.flows.reset()
-		cs.routes.reset()
+		if cs != nil {
+			cs.flows.reset()
+			cs.routes.reset()
+		}
 	}
-	clear(t.vniIndex)
+	t.vniIndex.reset()
 	t.vnis = t.vnis[:0]
 	t.pkts = 0
 	t.mu.Unlock()
@@ -347,6 +502,9 @@ func (t *Tracker) TopFlows(n int) []HotFlow {
 	defer t.mu.Unlock()
 	var out []HotFlow
 	for id, cs := range t.clusters {
+		if cs == nil {
+			continue
+		}
 		for _, c := range cs.flows.Top() {
 			out = append(out, HotFlow{
 				Cluster:  id,
@@ -427,6 +585,9 @@ func (t *Tracker) HotEntries(target float64) Residency {
 	}
 	var all []HotEntry
 	for id, cs := range t.clusters {
+		if cs == nil {
+			continue
+		}
 		for _, c := range cs.routes.Top() {
 			all = append(all, HotEntry{
 				Cluster: id,
@@ -489,6 +650,9 @@ func (t *Tracker) VNISkewSummary() []VNISkew {
 	defer t.mu.Unlock()
 	hot := make(map[netpkt.VNI]uint64)
 	for _, cs := range t.clusters {
+		if cs == nil {
+			continue
+		}
 		for _, c := range cs.routes.Top() {
 			hot[c.Key.VNI] += c.Count - c.Err
 		}

@@ -17,8 +17,12 @@ func ip(i int) netip.Addr {
 	return netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})
 }
 
+// hashString and hashUint64 are the test sketches' key hashes.
+func hashString(s string) uint64 { return netpkt.HashBytes([]byte(s)) }
+func hashUint64(v uint64) uint64 { return v }
+
 func TestSpaceSavingExactWhenUnderK(t *testing.T) {
-	s := NewSpaceSaving[string](16)
+	s := NewSpaceSaving[string](16, hashString)
 	counts := map[string]uint64{"a": 50, "b": 30, "c": 20, "d": 1}
 	for k, n := range counts {
 		for i := uint64(0); i < n; i++ {
@@ -44,7 +48,7 @@ func TestSpaceSavingExactWhenUnderK(t *testing.T) {
 func TestSpaceSavingErrorBounds(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	z := rand.NewZipf(r, 1.5, 1, 9999)
-	s := NewSpaceSaving[uint64](64)
+	s := NewSpaceSaving[uint64](64, hashUint64)
 	exact := make(map[uint64]uint64)
 	for i := 0; i < 200000; i++ {
 		k := z.Uint64()
@@ -425,9 +429,9 @@ func (s *refSpaceSaving[K]) siftDown(i int) {
 // from and Merge absorbs in.
 func heapOrder[K comparable](s *SpaceSaving[K]) []Counted[K] {
 	out := make([]Counted[K], 0, len(s.heap))
-	for _, i := range s.heap {
-		e := &s.slots[i]
-		out = append(out, Counted[K]{Key: e.key, Count: e.count, Err: e.err})
+	for _, c := range s.heap {
+		e := &s.slots[c.slot]
+		out = append(out, Counted[K]{Key: e.key, Count: c.count, Err: e.err})
 	}
 	return out
 }
@@ -447,7 +451,7 @@ func TestSpaceSavingMatchesMapIndexedOracle(t *testing.T) {
 	const k = 64
 	r := rand.New(rand.NewSource(5))
 	z := rand.NewZipf(r, 1.2, 1, 4999)
-	got, want := NewSpaceSaving[uint64](k), newRefSpaceSaving[uint64](k)
+	got, want := NewSpaceSaving[uint64](k, hashUint64), newRefSpaceSaving[uint64](k)
 	for i := 0; i < 60000; i++ {
 		key, n := z.Uint64(), uint64(1+r.Intn(3))
 		got.Observe(key, n)
@@ -585,5 +589,116 @@ func BenchmarkTrackerObserveZipf(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := keys[i&(len(keys)-1)]
 		tr.Observe(k%4, netpkt.VNI(100+k%64), uint64(k)*0x9e3779b97f4a7c15, ip(k), 100)
+	}
+}
+
+// tagHash returns a key hash whose index tag is exactly tag: tagOf
+// multiplies by an odd constant, so multiplying tag<<32 by that constant's
+// inverse mod 2^64 undoes it.
+func tagHash(tag uint32) uint64 {
+	const phi = 0x9e3779b97f4a7c15
+	inv := uint64(phi)
+	for i := 0; i < 5; i++ { // Newton: each step doubles the correct low bits
+		inv *= 2 - phi*inv
+	}
+	return uint64(tag) << 32 * inv
+}
+
+// checkIndex asserts the slot index's invariants: it holds exactly the
+// sketch's slots, every slot is found under its own tag, and every cell is
+// reachable from its home cell through occupied cells (no probe-chain gap,
+// the invariant back-shift deletion exists to keep).
+func checkIndex[K comparable](t *testing.T, s *SpaceSaving[K]) (wrapped bool) {
+	t.Helper()
+	ix := &s.index
+	occupied := 0
+	for p, c := range ix.cells {
+		if c == 0 {
+			continue
+		}
+		occupied++
+		home := uint32(c>>32) & ix.mask
+		for q := home; q != uint32(p); q = (q + 1) & ix.mask {
+			if ix.cells[q] == 0 {
+				t.Fatalf("cell %d (home %d) is cut off from its home by an empty cell at %d", p, home, q)
+			}
+		}
+		if uint32(p) < home {
+			wrapped = true
+		}
+	}
+	if occupied != ix.n || ix.n != len(s.slots) {
+		t.Fatalf("index holds %d cells (n=%d) for %d slots", occupied, ix.n, len(s.slots))
+	}
+	for sl, e := range s.slots {
+		if got := s.lookup(e.key, e.tag); got != int32(sl) {
+			t.Fatalf("slot %d (key %v) found at %d", sl, e.key, got)
+		}
+	}
+	return wrapped
+}
+
+// Every key homes on one of the index's last two cells or its first, so
+// probe chains collide and wrap past the table's end; groups of four keys
+// share a full tag, so lookups must fall through to the key comparison.
+// Under a Zipf stream that evicts on most packets, the index keeps its
+// invariants and the sketch stays move-for-move identical to the
+// map-indexed oracle.
+func TestSlotIndexCollisionsAndWrapUnderEviction(t *testing.T) {
+	const k = 16
+	homes := [3]uint32{30, 31, 0} // newSlotIndex(16) has 32 cells
+	hash := func(key uint64) uint64 {
+		g := uint32(key % 50)
+		return tagHash(g<<5 | homes[g%3])
+	}
+	got, want := NewSpaceSaving[uint64](k, hash), newRefSpaceSaving[uint64](k)
+	if len(got.index.cells) != 32 {
+		t.Fatalf("index has %d cells, the test homes keys for 32", len(got.index.cells))
+	}
+	r := rand.New(rand.NewSource(11))
+	z := rand.NewZipf(r, 1.1, 1, 199)
+	wrapped := false
+	for i := 0; i < 20000; i++ {
+		key, n := z.Uint64(), uint64(1+r.Intn(2))
+		got.Observe(key, n)
+		want.Observe(key, n)
+		if checkIndex(t, got) {
+			wrapped = true
+		}
+		if !reflect.DeepEqual(heapOrder(got), refHeapOrder(want)) {
+			t.Fatalf("op %d: heap order diverged from the map-indexed oracle", i)
+		}
+	}
+	if !wrapped {
+		t.Fatal("no probe chain wrapped past the table end; the test lost its point")
+	}
+	got.reset()
+	if checkIndex(t, got); got.index.n != 0 {
+		t.Fatal("reset left cells behind")
+	}
+}
+
+// The per-VNI tally index grows past its initial table without losing a
+// tenant.
+func TestTrackerVNIIndexGrows(t *testing.T) {
+	tr := NewTracker(8)
+	initial := len(tr.vniIndex.cells)
+	const vnis = 1000
+	for round := 0; round < 2; round++ {
+		for v := 0; v < vnis; v++ {
+			tr.Observe(0, netpkt.VNI(v*7919), uint64(v), ip(v), 10)
+		}
+	}
+	if len(tr.vniIndex.cells) <= initial {
+		t.Fatalf("VNI index stayed at %d cells for %d tenants", initial, vnis)
+	}
+	sk := tr.VNISkewSummary()
+	if len(sk) != vnis {
+		t.Fatalf("%d tenants tallied, want %d", len(sk), vnis)
+	}
+	for _, s := range sk {
+		if s.Packets != 2 || s.Bytes != 20 {
+			t.Fatalf("tenant %v tallied %d pkts %d bytes, want 2/20", s.VNI, s.Packets, s.Bytes)
+		}
 	}
 }

@@ -95,20 +95,20 @@ func TestParseFrontMatchesFullParserOnMutations(t *testing.T) {
 	innerIP := vxlan + VXLANHeaderLen + EthernetHeaderLen
 	innerTCP := innerIP + IPv4HeaderLen
 	edits := []func(b []byte){
-		func(b []byte) { binary.BigEndian.PutUint16(b[12:14], 0x0806) },          // outer ARP
-		func(b []byte) { b[outerIP] = 0x65 },                                     // outer bad version
-		func(b []byte) { b[outerIP+9] = byte(IPProtocolTCP) },                    // outer not UDP
-		func(b []byte) { binary.BigEndian.PutUint16(b[outerUDP+2:], 9999) },      // not VXLAN port
-		func(b []byte) { binary.BigEndian.PutUint16(b[outerUDP+4:], 3) },         // absurd UDP length
-		func(b []byte) { binary.BigEndian.PutUint16(b[outerUDP+4:], 0xFFFF) },    // oversize UDP length
-		func(b []byte) { binary.BigEndian.PutUint16(b[outerUDP+4:], 12) },        // UDP length hides VXLAN
-		func(b []byte) { b[vxlan] = 0 },                                          // cleared I flag
+		func(b []byte) { binary.BigEndian.PutUint16(b[12:14], 0x0806) },                    // outer ARP
+		func(b []byte) { b[outerIP] = 0x65 },                                               // outer bad version
+		func(b []byte) { b[outerIP+9] = byte(IPProtocolTCP) },                              // outer not UDP
+		func(b []byte) { binary.BigEndian.PutUint16(b[outerUDP+2:], 9999) },                // not VXLAN port
+		func(b []byte) { binary.BigEndian.PutUint16(b[outerUDP+4:], 3) },                   // absurd UDP length
+		func(b []byte) { binary.BigEndian.PutUint16(b[outerUDP+4:], 0xFFFF) },              // oversize UDP length
+		func(b []byte) { binary.BigEndian.PutUint16(b[outerUDP+4:], 12) },                  // UDP length hides VXLAN
+		func(b []byte) { b[vxlan] = 0 },                                                    // cleared I flag
 		func(b []byte) { binary.BigEndian.PutUint16(b[vxlan+VXLANHeaderLen+12:], 0x86DD) }, // inner says v6, bytes are v4
-		func(b []byte) { b[innerIP] = 0x45 - 0x20 },                              // inner bad version
-		func(b []byte) { binary.BigEndian.PutUint16(b[innerIP+2:], 10) },         // inner TotalLength < IHL
-		func(b []byte) { binary.BigEndian.PutUint16(b[innerIP+2:], 24) },         // inner TotalLength truncates TCP
-		func(b []byte) { b[innerTCP+12] = 0x10 },                                 // TCP dataOff < 5
-		func(b []byte) { b[innerTCP+12] = 0xF0 },                                 // TCP dataOff beyond segment
+		func(b []byte) { b[innerIP] = 0x45 - 0x20 },                                        // inner bad version
+		func(b []byte) { binary.BigEndian.PutUint16(b[innerIP+2:], 10) },                   // inner TotalLength < IHL
+		func(b []byte) { binary.BigEndian.PutUint16(b[innerIP+2:], 24) },                   // inner TotalLength truncates TCP
+		func(b []byte) { b[innerTCP+12] = 0x10 },                                           // TCP dataOff < 5
+		func(b []byte) { b[innerTCP+12] = 0xF0 },                                           // TCP dataOff beyond segment
 	}
 	for _, edit := range edits {
 		m := append([]byte(nil), base...)
@@ -143,5 +143,46 @@ func TestParseFrontZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ParseFront allocates %.1f per run, want 0", allocs)
+	}
+}
+
+// FuzzParseFrontMatchesParse holds ParseFront to its contract on arbitrary
+// bytes: the same verdict and error as the full parser, the same VNI, flow
+// and wire length on accept, and a memoized GatewayPacket.FlowHash equal to
+// the front flow's FastHash. Dispatchers shard by the front parse while the
+// lanes parse fully, so a divergence would split a flow across shards.
+func FuzzParseFrontMatchesParse(f *testing.F) {
+	fuzzSeedFrames(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkFrontEquivalence(t, data)
+		var p Parser
+		var pkt GatewayPacket
+		if p.Parse(data, &pkt) != nil {
+			return
+		}
+		if got, want := pkt.FlowHash(), pkt.InnerFlow().FastHash(); got != want {
+			t.Fatalf("FlowHash = %#x, InnerFlow().FastHash() = %#x", got, want)
+		}
+	})
+}
+
+// A scratch packet reused across parses must not serve the previous
+// packet's memoized hash.
+func TestFlowHashTracksReparse(t *testing.T) {
+	corpus := frontCorpus(t)
+	var p Parser
+	var pkt GatewayPacket
+	for i := 0; i < 2*len(corpus); i++ {
+		raw := corpus[i%len(corpus)]
+		if err := p.Parse(raw, &pkt); err != nil {
+			t.Fatal(err)
+		}
+		var fm FrontMeta
+		if err := ParseFront(raw, &fm); err != nil {
+			t.Fatal(err)
+		}
+		if pkt.FlowHash() != fm.Flow.FastHash() {
+			t.Fatalf("frame %d: memoized hash is stale", i)
+		}
 	}
 }

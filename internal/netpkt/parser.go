@@ -32,6 +32,11 @@ type GatewayPacket struct {
 	// pipeline stages that hash or match on it (ECMP, ACL, SNAT) do not
 	// re-derive it per lookup.
 	flow Flow
+	// flowHash memoizes flow.FastHash for the tiers a packet crosses after
+	// one parse (steering, ECMP, DPU and x86 picks, trace sampling);
+	// hashed reports whether it is current for flow.
+	flowHash uint64
+	hashed   bool
 }
 
 // OuterSrc returns the underlay source address.
@@ -72,8 +77,19 @@ func (p *GatewayPacket) InnerDst() netip.Addr {
 // hand (rather than decoded) have a zero flow.
 func (p *GatewayPacket) InnerFlow() Flow { return p.flow }
 
+// FlowHash returns InnerFlow().FastHash(), computed on first use after each
+// Parse and memoized until the next one. A GatewayPacket is single-goroutine
+// like the parser filling it.
+func (p *GatewayPacket) FlowHash() uint64 {
+	if !p.hashed {
+		p.flowHash, p.hashed = p.flow.FastHash(), true
+	}
+	return p.flowHash
+}
+
 // fillFlow caches the inner five-tuple after a successful parse.
 func (p *GatewayPacket) fillFlow() {
+	p.hashed = false
 	p.flow = Flow{Src: p.InnerSrc(), Dst: p.InnerDst()}
 	if !p.HasL4 {
 		return

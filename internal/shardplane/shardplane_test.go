@@ -187,6 +187,7 @@ func buildParityWorld(t testing.TB) (*cluster.Region, [][]byte) {
 			buildFlowPacket(t, 102, src, "192.168.0.5", sport),  // no_live_node
 			buildFlowPacket(t, 103, src, "192.168.0.5", sport),  // no_healthy_port
 			buildFlowPacket(t, 104, src, "192.168.0.5", sport),  // degraded → pool carries
+			buildFlowPacket(t, 104, src, "192.168.0.99", sport), // degraded → pool no_vm → fallback_error
 			buildFlowPacket(t, 105, src, "192.168.0.5", sport),  // demoted → fallback miss, pool completes
 			buildFlowPacket(t, 105, src, "192.168.0.99", sport), // demoted → pool no_vm → fallback_error
 		)
@@ -342,12 +343,18 @@ func TestShardedStatsParityMixedWorkload(t *testing.T) {
 	if st.Region.Forwarded == 0 || st.Region.Degraded == 0 || st.Region.FallbackMiss == 0 {
 		t.Fatalf("workload lost coverage: %+v", st.Region)
 	}
+	// Each packet is booked under exactly one outcome, on both paths.
+	for name, rs := range map[string]cluster.RegionStats{"sharded": st.Region, "reference": ref.Stats()} {
+		if sum := rs.Forwarded + rs.DPUServed + rs.Fallback + rs.Degraded + rs.Dropped + rs.NoRoute; sum != uint64(len(raws)) {
+			t.Errorf("%s ledger books %d outcomes for %d packets: %+v", name, sum, len(raws), rs)
+		}
+	}
 	for _, reason := range cluster.FrontDropReasonNames() {
 		if reason == "dpu_error" {
-			// Needs a DPU-attached region and a frame the light front
-			// parse accepts but the full parser rejects — not reachable
-			// from this two-tier workload; the DPU taxonomy is exercised
-			// by the xgwdpu unit tests and the three-tier parity test.
+			// The lane hands the DPU a packet it already parsed, so only
+			// a DPU serialize failure books this — not reachable from
+			// this two-tier workload; the DPU taxonomy is exercised by
+			// the xgwdpu unit tests and the three-tier parity test.
 			continue
 		}
 		if st.Region.FrontDrops[reason] == 0 {
@@ -476,8 +483,8 @@ func TestShardedDropParityAcrossStages(t *testing.T) {
 	// hardware miss is served by the middle tier; a second key the warm set
 	// never learned falls through to the x86 pool; and the tier's one drop
 	// reason is driven straight at the pool, as with the gateway extras
-	// (ParseFront accepts a frame iff the full parser does, so a wire
-	// workload cannot reach the DPU's parse_error).
+	// (the lane parses once before any tier, so a wire workload cannot
+	// reach the DPU's parse_error).
 	cfgE := smallConfig()
 	cfgE.DPUDevices = 2
 	rE := cluster.NewRegion(cfgE, 1, 1)

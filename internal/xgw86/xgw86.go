@@ -122,13 +122,16 @@ type Node struct {
 	trDev uint16
 }
 
-// reencapScratch holds the preallocated header layers reencap serializes
-// through, so the fallback hot path does not allocate per packet.
+// reencapScratch holds the preallocated header layers reencap and the SNAT
+// outbound rewrite serialize through, so the fallback hot path does not
+// allocate per packet. A packet takes one of the two, never both, so they
+// share the cells.
 type reencapScratch struct {
 	eth    netpkt.Ethernet
 	ip4    netpkt.IPv4
 	ip6    netpkt.IPv6
 	udp    netpkt.UDP
+	tcp    netpkt.TCP
 	vxlan  netpkt.VXLAN
 	layers [4]netpkt.SerializableLayer
 }
@@ -287,41 +290,66 @@ type FallbackResult struct {
 // ProcessFallback forwards a VXLAN packet the hardware path could not
 // (volatile routes, long-tail VMs): full software lookup and rewrite. now
 // is the caller's clock; it timestamps flight-recorder events and ages
-// SNAT sessions reached through service-scope routes.
+// SNAT sessions reached through service-scope routes. It parses into the
+// node's scratch and runs ProcessParsed.
 func (n *Node) ProcessFallback(raw []byte, now time.Time) (FallbackResult, error) {
+	var out FallbackResult
+	if err := n.parse(raw, now); err != nil {
+		return out, err
+	}
+	err := n.ProcessParsed(&n.vpkt, now, &out)
+	return out, err
+}
+
+// parse decodes raw into the node's scratch packet, booking a parse_error
+// drop when it does not decode.
+func (n *Node) parse(raw []byte, now time.Time) error {
 	if err := n.parser.Parse(raw, &n.vpkt); err != nil {
 		// n.vpkt holds the previous packet's fields after a failed parse, so
 		// the drop event carries no flow identity.
 		n.drop(dropParseError, 0, 0, now)
-		return FallbackResult{}, err
+		return err
 	}
-	vni, route, err := n.Routes.Resolve(n.vpkt.VXLAN.VNI, n.vpkt.InnerDst())
+	return nil
+}
+
+// ProcessParsed is the software path for a packet the caller already
+// parsed — the single implementation behind ProcessFallback, and the entry
+// a lane uses so a steered packet is not parsed again. Service-scope routes
+// continue into the SNAT outbound translation on the same parsed packet. It
+// overwrites *out whole; out.Out aliases the node's serialize buffer until
+// its next packet; pkt stays the caller's (only its flow hash memo may be
+// filled in).
+func (n *Node) ProcessParsed(pkt *netpkt.GatewayPacket, now time.Time, out *FallbackResult) error {
+	*out = FallbackResult{}
+	vni, route, err := n.Routes.Resolve(pkt.VXLAN.VNI, pkt.InnerDst())
 	if err != nil {
-		n.drop(dropNoRoute, n.vpkt.InnerFlow().FastHash(), n.vpkt.VXLAN.VNI, now)
-		return FallbackResult{}, err
+		n.drop(dropNoRoute, pkt.FlowHash(), pkt.VXLAN.VNI, now)
+		return err
 	}
 	var nc netip.Addr
 	switch route.Scope {
 	case tables.ScopeLocal:
 		var ok bool
-		nc, ok = n.VMNC.Lookup(vni, n.vpkt.InnerDst())
+		nc, ok = n.VMNC.Lookup(vni, pkt.InnerDst())
 		if !ok {
-			n.drop(dropNoVM, n.vpkt.InnerFlow().FastHash(), vni, now)
-			return FallbackResult{}, tables.ErrNoRoute
+			n.drop(dropNoVM, pkt.FlowHash(), vni, now)
+			return tables.ErrNoRoute
 		}
 	case tables.ScopeRemote:
 		nc = route.Tunnel
 	case tables.ScopeService:
 		// SNAT traffic reaching the generic fallback entry point.
-		return n.ProcessSNATOutbound(raw, now)
+		return n.snatOutbound(pkt, now, out)
 	}
-	out, err := n.reencap(n.vpkt.VXLAN.Payload(), vni, nc, n.vpkt.OuterUDP.SrcPort)
+	b, err := n.reencap(pkt.VXLAN.Payload(), vni, nc, pkt.OuterUDP.SrcPort)
 	if err != nil {
-		return FallbackResult{}, err
+		return err
 	}
 	n.stats.forwarded.Add(1)
-	n.traceEvent(trace.VerdictForward, 0, n.vpkt.InnerFlow().FastHash(), vni, now)
-	return FallbackResult{Out: out, NC: nc, LatencyUs: n.cfg.LatencyUs}, nil
+	n.traceEvent(trace.VerdictForward, 0, pkt.FlowHash(), vni, now)
+	out.Out, out.NC, out.LatencyUs = b, nc, n.cfg.LatencyUs
+	return nil
 }
 
 // ProcessSNATOutbound implements the red arrow of Fig. 11: a VM's packet to
@@ -329,46 +357,55 @@ func (n *Node) ProcessFallback(raw []byte, now time.Time) (FallbackResult, error
 // (IP, port), the inner source is rewritten, the VXLAN tunnel is removed and
 // the plain packet is emitted toward the Internet.
 func (n *Node) ProcessSNATOutbound(raw []byte, now time.Time) (FallbackResult, error) {
-	if err := n.parser.Parse(raw, &n.vpkt); err != nil {
-		n.drop(dropParseError, 0, 0, now)
-		return FallbackResult{}, err
+	var out FallbackResult
+	if err := n.parse(raw, now); err != nil {
+		return out, err
 	}
-	if !n.vpkt.HasL4 || n.vpkt.InnerIsV6 {
+	err := n.snatOutbound(&n.vpkt, now, &out)
+	return out, err
+}
+
+// snatOutbound translates a parsed packet's session and serializes the
+// de-tunneled frame through the node's header scratch, so the translation
+// allocates nothing per packet.
+func (n *Node) snatOutbound(pkt *netpkt.GatewayPacket, now time.Time, out *FallbackResult) error {
+	if !pkt.HasL4 || pkt.InnerIsV6 {
 		// Production SNAT is IPv4; v6 uses different prefixes entirely.
-		n.drop(dropNotIPv4, n.vpkt.InnerFlow().FastHash(), n.vpkt.VXLAN.VNI, now)
-		return FallbackResult{}, netpkt.ErrNotVXLAN
+		n.drop(dropNotIPv4, pkt.FlowHash(), pkt.VXLAN.VNI, now)
+		return netpkt.ErrNotVXLAN
 	}
-	key := tables.SNATKey{VNI: n.vpkt.VXLAN.VNI, Flow: n.vpkt.InnerFlow()}
+	key := tables.SNATKey{VNI: pkt.VXLAN.VNI, Flow: pkt.InnerFlow()}
 	// Translate refreshes the idle stamp itself; no separate Touch.
 	bind, err := n.snat.Active().Translate(key, now)
 	if err != nil {
-		n.drop(dropSNATExhausted, key.Flow.FastHash(), key.VNI, now)
-		return FallbackResult{}, err
+		n.drop(dropSNATExhausted, pkt.FlowHash(), key.VNI, now)
+		return err
 	}
 	// Rebuild the inner frame with the translated source.
 	f := key.Flow
-	layers := []netpkt.SerializableLayer{
-		&netpkt.Ethernet{EtherType: netpkt.EtherTypeIPv4},
-		&netpkt.IPv4{TTL: 63, Protocol: f.Proto, SrcIP: bind.PublicIP, DstIP: f.Dst},
-	}
+	s := &n.rw
+	s.eth = netpkt.Ethernet{EtherType: netpkt.EtherTypeIPv4}
+	s.ip4 = netpkt.IPv4{TTL: 63, Protocol: f.Proto, SrcIP: bind.PublicIP, DstIP: f.Dst}
+	s.layers[0], s.layers[1] = &s.eth, &s.ip4
 	var payload []byte
 	if f.Proto == netpkt.IPProtocolTCP {
-		t := n.vpkt.InnerTCP
-		t.SrcPort = bind.PublicPort
-		payload = n.vpkt.InnerTCP.Payload()
-		layers = append(layers, &t)
+		s.tcp = pkt.InnerTCP
+		s.tcp.SrcPort = bind.PublicPort
+		payload = pkt.InnerTCP.Payload()
+		s.layers[2] = &s.tcp
 	} else {
-		u := n.vpkt.InnerUDP
-		u.SrcPort = bind.PublicPort
-		payload = n.vpkt.InnerUDP.Payload()
-		layers = append(layers, &u)
+		s.udp = pkt.InnerUDP
+		s.udp.SrcPort = bind.PublicPort
+		payload = pkt.InnerUDP.Payload()
+		s.layers[2] = &s.udp
 	}
-	if err := netpkt.SerializeLayers(n.sbuf, payload, layers...); err != nil {
-		return FallbackResult{}, err
+	if err := netpkt.SerializeLayers(n.sbuf, payload, s.layers[:3]...); err != nil {
+		return err
 	}
 	n.stats.snatOut.Add(1)
-	n.traceEvent(trace.VerdictForward, 0, key.Flow.FastHash(), key.VNI, now)
-	return FallbackResult{Out: n.sbuf.Bytes(), ToInternet: true, LatencyUs: n.cfg.LatencyUs}, nil
+	n.traceEvent(trace.VerdictForward, 0, pkt.FlowHash(), key.VNI, now)
+	out.Out, out.ToInternet, out.LatencyUs = n.sbuf.Bytes(), true, n.cfg.LatencyUs
+	return nil
 }
 
 // ProcessSNATInbound implements the blue arrow of Fig. 11: a response from

@@ -370,7 +370,8 @@ type ForwardResult struct {
 	LatencyUs float64
 }
 
-// ProcessOn attempts warm-tier forwarding on device dev. Outcomes:
+// ProcessOn attempts warm-tier forwarding of a raw frame on device dev: it
+// parses into the device's scratch and runs ProcessParsedOn. Outcomes:
 //
 //   - served == true: the packet left the DPU rewritten toward its NC.
 //   - served == false, err == nil: warm-set miss (route/VM not resident,
@@ -383,27 +384,41 @@ type ForwardResult struct {
 // on distinct devices may run concurrently.
 func (p *Pool) ProcessOn(dev int, raw []byte, now time.Time) (ForwardResult, bool, error) {
 	d := &p.devs[dev]
+	var out ForwardResult
 	if err := d.parser.Parse(raw, &d.vpkt); err != nil {
 		// d.vpkt holds the previous packet's fields after a failed parse,
 		// so the drop event carries no flow identity.
 		p.drop(d, dropParseError, 0, 0, now)
-		return ForwardResult{}, false, err
+		return out, false, err
 	}
-	vni, route, err := p.Routes.Resolve(d.vpkt.VXLAN.VNI, d.vpkt.InnerDst())
+	served, err := p.ProcessParsedOn(dev, &d.vpkt, now, &out)
+	return out, served, err
+}
+
+// ProcessParsedOn is the warm-tier lookup on device dev for a packet the
+// caller already parsed — the single implementation behind ProcessOn, and
+// the entry a lane uses so a hardware miss is not parsed a second time. It
+// overwrites *out whole; served and err carry ProcessOn's meaning. out.Out
+// aliases the device's serialize buffer until its next packet; pkt stays
+// the caller's (only its flow hash memo may be filled in).
+func (p *Pool) ProcessParsedOn(dev int, pkt *netpkt.GatewayPacket, now time.Time, out *ForwardResult) (bool, error) {
+	*out = ForwardResult{}
+	d := &p.devs[dev]
+	vni, route, err := p.Routes.Resolve(pkt.VXLAN.VNI, pkt.InnerDst())
 	if err != nil {
 		p.stats.missRoute.Add(1)
-		p.traceEvent(d, trace.VerdictFallback, 0, d.vpkt.InnerFlow().FastHash(), d.vpkt.VXLAN.VNI, now)
-		return ForwardResult{}, false, nil
+		p.traceEvent(d, trace.VerdictFallback, 0, pkt.FlowHash(), pkt.VXLAN.VNI, now)
+		return false, nil
 	}
 	var nc netip.Addr
 	switch route.Scope {
 	case tables.ScopeLocal:
 		var ok bool
-		nc, ok = p.VMNC.Lookup(vni, d.vpkt.InnerDst())
+		nc, ok = p.VMNC.Lookup(vni, pkt.InnerDst())
 		if !ok {
 			p.stats.missVM.Add(1)
-			p.traceEvent(d, trace.VerdictFallback, 0, d.vpkt.InnerFlow().FastHash(), vni, now)
-			return ForwardResult{}, false, nil
+			p.traceEvent(d, trace.VerdictFallback, 0, pkt.FlowHash(), vni, now)
+			return false, nil
 		}
 	case tables.ScopeRemote:
 		nc = route.Tunnel
@@ -411,16 +426,17 @@ func (p *Pool) ProcessOn(dev int, raw []byte, now time.Time) (ForwardResult, boo
 		// Stateful SNAT lives on the x86 pool; the DPU never holds
 		// session state, so service-scope traffic always falls through.
 		p.stats.missService.Add(1)
-		p.traceEvent(d, trace.VerdictFallback, 0, d.vpkt.InnerFlow().FastHash(), vni, now)
-		return ForwardResult{}, false, nil
+		p.traceEvent(d, trace.VerdictFallback, 0, pkt.FlowHash(), vni, now)
+		return false, nil
 	}
-	out, err := p.reencap(d, d.vpkt.VXLAN.Payload(), vni, nc, d.vpkt.OuterUDP.SrcPort)
+	b, err := p.reencap(d, pkt.VXLAN.Payload(), vni, nc, pkt.OuterUDP.SrcPort)
 	if err != nil {
-		return ForwardResult{}, false, err
+		return false, err
 	}
 	p.stats.forwarded.Add(1)
-	p.traceEvent(d, trace.VerdictForward, 0, d.vpkt.InnerFlow().FastHash(), vni, now)
-	return ForwardResult{Out: out, NC: nc, LatencyUs: p.cfg.LatencyUs}, true, nil
+	p.traceEvent(d, trace.VerdictForward, 0, pkt.FlowHash(), vni, now)
+	out.Out, out.NC, out.LatencyUs = b, nc, p.cfg.LatencyUs
+	return true, nil
 }
 
 // reencap wraps an inner frame in fresh VXLAN/UDP/IP/Ethernet headers using

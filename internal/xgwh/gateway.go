@@ -161,12 +161,12 @@ type Stats struct {
 
 // Gateway is one XGW-H node: the chip forwarding model programmed with the
 // Sailfish tables. ProcessPacket drives the gateway's own embedded scratch
-// and is single-goroutine, as each physical box is one chip. The sharded
-// software plane enters the same tables concurrently via ProcessPacketWith,
-// one PacketScratch per shard: every table on that path is either read-pure
-// (trie/ALPM, VM-NC digest, ACL, service-VNI set — control-plane writes
-// happen before traffic) or internally synchronized (meters, counters,
-// stats, trace, telemetry).
+// and is single-goroutine, as each physical box is one chip. Region lanes
+// enter the same tables concurrently via ProcessParsed (or
+// ProcessPacketWith), one PacketScratch per lane: every table on that path
+// is either read-pure (trie/ALPM, VM-NC digest, ACL, service-VNI set —
+// control-plane writes happen before traffic) or internally synchronized
+// (meters, counters, stats, trace, telemetry).
 type Gateway struct {
 	cfg    Config
 	device *tofino.Device
@@ -186,7 +186,7 @@ type Gateway struct {
 
 	// scratch is the gateway's own per-packet state, used by ProcessPacket —
 	// the single-goroutine entry point. Concurrent callers bring their own
-	// scratch through ProcessPacketWith.
+	// scratch through ProcessPacketWith or ProcessParsed.
 	scratch PacketScratch
 
 	// stats is the live atomic counter block (see stats.go): written by the
@@ -213,9 +213,10 @@ type Gateway struct {
 // PacketScratch is the per-caller packet-processing state: the parser, parsed
 // packet, pipeline context, serialize buffer and rewrite headers that one
 // run-to-completion worker reuses for every packet. A Gateway embeds one for
-// its single-goroutine ProcessPacket path; the sharded plane allocates one
-// per shard and drives the shared tables through ProcessPacketWith. A scratch
-// must never be used by two goroutines at once.
+// its single-goroutine ProcessPacket path; every region lane (and each
+// sailfish-gw worker) owns one, parses each packet into it once, and drives
+// the shared tables through ProcessParsed. A scratch must never be used by
+// two goroutines at once.
 type PacketScratch struct {
 	parser netpkt.Parser
 	pkt    netpkt.GatewayPacket
@@ -230,10 +231,19 @@ type PacketScratch struct {
 	tr *trace.Recorder
 }
 
-// NewPacketScratch returns a scratch ready for ProcessPacketWith.
+// NewPacketScratch returns a scratch ready for Parse and ProcessPacketWith.
 func NewPacketScratch() *PacketScratch {
 	return &PacketScratch{sbuf: netpkt.NewSerializeBuffer(128, 2048)}
 }
+
+// Parse decodes raw into the scratch's packet without touching any gateway
+// — the one full parse a lane makes per packet before steering it. The
+// parsed packet then feeds ProcessParsed and the DPU and x86 tiers.
+func (sc *PacketScratch) Parse(raw []byte) error { return sc.parser.Parse(raw, &sc.pkt) }
+
+// Packet returns the scratch's parsed packet, valid after a successful
+// Parse until the scratch's next one.
+func (sc *PacketScratch) Packet() *netpkt.GatewayPacket { return &sc.pkt }
 
 // SetRecorder points events produced through this scratch at rec instead of
 // the gateway's wired recorder (nil restores the gateway's). Set before the
@@ -277,7 +287,7 @@ func (g *Gateway) traceEvent(sc *PacketScratch, verdict trace.Verdict, code uint
 	if tr == nil {
 		return
 	}
-	fh := sc.pkt.InnerFlow().FastHash()
+	fh := sc.pkt.FlowHash()
 	if verdict != trace.VerdictDrop && !tr.Sampled(fh) {
 		return
 	}
@@ -606,17 +616,33 @@ func (g *Gateway) ProcessPacket(raw []byte, now time.Time) (ForwardResult, error
 }
 
 // ProcessPacketWith runs one wire packet through the gateway using the
-// caller's scratch. Distinct scratches may enter the gateway concurrently —
-// this is how the sharded software plane drives one node from N shard
-// workers while a flow's packets stay on one shard. The result's Out slice
-// aliases sc's serialize buffer and is valid until sc's next packet.
+// caller's scratch: Parse, then ProcessParsed. Distinct scratches may enter
+// the gateway concurrently — this is how the sharded software plane drives
+// one node from N shard workers while a flow's packets stay on one shard.
+// The result's Out slice aliases sc's serialize buffer and is valid until
+// sc's next packet.
 func (g *Gateway) ProcessPacketWith(sc *PacketScratch, raw []byte, now time.Time) (ForwardResult, error) {
+	var out ForwardResult
+	if err := g.Parse(sc, raw, now); err != nil {
+		out.Action = ActionDrop
+		out.DropReason = dropReasonName[dropParseError]
+		return out, nil
+	}
+	err := g.ProcessParsed(sc, now, &out)
+	return out, err
+}
+
+// Parse is the gateway's parser stage: it decodes raw into sc, observes the
+// parse-stage latency, and books a parse_error drop when the frame does not
+// decode. A caller that parses through Parse (or sc.Parse) once can hand
+// the same scratch to ProcessParsed and to the software tiers below.
+func (g *Gateway) Parse(sc *PacketScratch, raw []byte, now time.Time) error {
 	obs := g.obs
 	var t0 time.Time
 	if obs != nil {
 		t0 = time.Now()
 	}
-	if err := sc.parser.Parse(raw, &sc.pkt); err != nil {
+	if err := sc.Parse(raw); err != nil {
 		g.stats.dropped.Add(1)
 		g.stats.drops[dropParseError].Add(1)
 		if tr := g.recorder(sc); tr != nil {
@@ -625,28 +651,39 @@ func (g *Gateway) ProcessPacketWith(sc *PacketScratch, raw []byte, now time.Time
 			tr.Record(trace.Event{TimeNs: now.UnixNano(), Dev: g.trDev,
 				Stage: trace.StageGateway, Verdict: trace.VerdictDrop, Code: dropParseError})
 		}
-		return ForwardResult{Action: ActionDrop, DropReason: dropReasonName[dropParseError]}, nil
+		return err
 	}
 	if obs != nil {
 		obs.Parse.Observe(float64(time.Since(t0).Nanoseconds()))
+	}
+	return nil
+}
+
+// ProcessParsed runs the packet already parsed into sc through the pipeline
+// and writes the verdict into *out, which it overwrites whole. It is the one
+// implementation behind every gateway entry point; the raw-byte ones parse
+// first. out.Out aliases sc's serialize buffer until sc's next packet.
+func (g *Gateway) ProcessParsed(sc *PacketScratch, now time.Time, out *ForwardResult) error {
+	*out = ForwardResult{}
+	obs := g.obs
+	var t0 time.Time
+	if obs != nil {
 		t0 = time.Now()
 	}
 	sc.ctx.Reset(&sc.pkt)
 	sc.ctx.Now = now
 	res, err := g.device.Process(&sc.ctx)
 	if err != nil {
-		return ForwardResult{}, err
+		return err
 	}
 	if obs != nil {
 		obs.Pipeline.Observe(float64(time.Since(t0).Nanoseconds()))
 	}
 
-	out := ForwardResult{
-		Unit:      g.unitFor(sc, sc.pkt.VXLAN.VNI),
-		Passes:    res.Passes,
-		LatencyNs: res.LatencyNs,
-		WireBytes: res.WireBytes,
-	}
+	out.Unit = g.unitFor(sc, sc.pkt.VXLAN.VNI)
+	out.Passes = res.Passes
+	out.LatencyNs = res.LatencyNs
+	out.WireBytes = res.WireBytes
 	g.stats.totalBytes.Add(uint64(sc.pkt.WireLen))
 	g.stats.units[out.Unit].packets.Add(1)
 	g.stats.units[out.Unit].bytes.Add(uint64(sc.pkt.WireLen))
@@ -669,7 +706,7 @@ func (g *Gateway) ProcessPacketWith(sc *PacketScratch, raw []byte, now time.Time
 				g.stats.drops[dropFallbackRateLimit].Add(1)
 				g.traceEvent(sc, trace.VerdictDrop, dropFallbackRateLimit, now)
 				g.reportTelemetry(sc, dropAction[dropFallbackRateLimit], now)
-				return out, nil
+				return nil
 			}
 		}
 		out.Action = ActionFallback
@@ -687,7 +724,8 @@ func (g *Gateway) ProcessPacketWith(sc *PacketScratch, raw []byte, now time.Time
 		}
 		rewritten, rerr := g.rewrite(sc)
 		if rerr != nil {
-			return ForwardResult{}, rerr
+			*out = ForwardResult{}
+			return rerr
 		}
 		if obs != nil {
 			obs.Rewrite.Observe(float64(time.Since(t0).Nanoseconds()))
@@ -706,7 +744,7 @@ func (g *Gateway) ProcessPacketWith(sc *PacketScratch, raw []byte, now time.Time
 		g.traceEvent(sc, trace.VerdictDrop, dropNoNC, now)
 		g.reportTelemetry(sc, dropAction[dropNoNC], now)
 	}
-	return out, nil
+	return nil
 }
 
 // rewriteScratch is the preallocated header set the rewrite stage reuses for
