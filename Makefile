@@ -8,7 +8,7 @@ RACE_PKGS := ./internal/controller/... ./internal/cluster/... ./internal/faults/
 	./internal/placement/... ./internal/snat/... ./internal/shardplane/... \
 	./internal/xgwdpu/... ./internal/slo/... ./internal/sim/...
 
-.PHONY: check fmt-check vet lint-metrics build test race chaos bench bench-all bench-smoke bench-smoke-mc fuzz-smoke fmt
+.PHONY: check fmt-check vet lint-metrics build test race chaos bench bench-all bench-smoke bench-smoke-mc fuzz-smoke examples-smoke fmt
 
 ## check: the full gate — formatting, vet, the metrics-name lint, build,
 ## tests, and the race pass.
@@ -34,9 +34,9 @@ test:
 	$(GO) test ./...
 
 ## race: the concurrency gate. GOMAXPROCS=4 forces real interleaving for
-## the sharded data plane (shardplane workers, gw workers mode, driver)
-## even on single-core CI runners, where the default would serialize
-## goroutines and hide races.
+## the sharded data plane (shardplane workers, gw workers mode) even on
+## single-core CI runners, where the default would serialize goroutines and
+## hide races.
 race:
 	GOMAXPROCS=4 $(GO) test -race $(RACE_PKGS)
 
@@ -45,13 +45,10 @@ chaos:
 	$(GO) run ./cmd/sailfish-gw -chaos
 
 ## bench: run the fast-path benchmarks and refresh BENCH_fastpath.json.
-## For regressions, prefer benchstat over eyeballing single runs:
-##   go test -run '^$$' -bench BenchmarkRegionForward -benchmem -count 10 . > old.txt
-##   ... change ...
-##   go test -run '^$$' -bench BenchmarkRegionForward -benchmem -count 10 . > new.txt
-##   benchstat old.txt new.txt
+## These are single samples; to judge a regression, run perfbench/run.sh on
+## the old and the new commit in alternating A/B pairs on one machine.
 bench:
-	$(GO) test -run '^$$' -bench 'RegionForward|DriverParallel' -benchmem . ./internal/cluster/
+	$(GO) test -run '^$$' -bench 'RegionForward' -benchmem .
 	$(GO) run ./cmd/fastpath-bench -o BENCH_fastpath.json
 
 ## bench-all: the full suite — every figure/table regeneration plus the fast path.
@@ -82,6 +79,11 @@ fuzz-smoke:
 	$(GO) test ./internal/netpkt/ -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/netpkt/ -run '^$$' -fuzz '^FuzzParsePlain$$' -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/netpkt/ -run '^$$' -fuzz '^FuzzParseFrontMatchesParse$$' -fuzztime 10s -fuzzminimizetime 100x
+
+## examples-smoke: build and run every program under examples/, so the
+## examples cannot rot behind the library (each finishes in about a second).
+examples-smoke:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
 fmt:
 	gofmt -l -w .

@@ -2,8 +2,8 @@
 // writes the numbers to a JSON file (default BENCH_fastpath.json) so the
 // repository carries its current performance envelope alongside the code.
 //
-// Five benchmarks run, via testing.Benchmark so the output needs no
-// go-test parsing:
+// These rows run via testing.Benchmark, so the output needs no go-test
+// parsing:
 //
 //   - region/forward: single-shot Region.ProcessPacket, the end-to-end
 //     behavioral fast path (steering → ECMP → folded XGW-H → rewrite);
@@ -12,9 +12,6 @@
 //     enabled — the delta against region/forward is the tracing overhead;
 //   - region/forward-batch: the same path through Region.ProcessBatch with
 //     the result slice recycled;
-//   - driver/submit-batch: Driver.SubmitBatch feeding per-node worker
-//     goroutines on a two-node cluster — the concurrent configuration whose
-//     throughput must exceed the single-shot path;
 //   - shardplane/forward-{1,2,4,8}: the multi-core sharded data plane —
 //     flow-hash dispatch onto per-shard SPSC rings with one
 //     run-to-completion lane per shard, GOMAXPROCS matched to the shard
@@ -43,12 +40,9 @@
 // would distort the ns/op rows above) attaches the stage latency histograms
 // and reports p50/p99 per stage in stage_latencies_ns.
 //
-// For regression hunting, prefer benchstat over eyeballing this file:
-//
-//	go test -run '^$' -bench BenchmarkRegionForward -benchmem -count 10 . > old.txt
-//	... apply change ...
-//	go test -run '^$' -bench BenchmarkRegionForward -benchmem -count 10 . > new.txt
-//	benchstat old.txt new.txt
+// Each row is one sample, so a single run cannot show a regression. For
+// that, run perfbench/run.sh on the old and the new commit in alternating
+// A/B pairs on one machine (see perfbench/README.md).
 package main
 
 import (
@@ -64,7 +58,6 @@ import (
 	"time"
 
 	sailfish "sailfish"
-	"sailfish/internal/cluster"
 	"sailfish/internal/heavyhitter"
 	"sailfish/internal/metrics"
 	"sailfish/internal/netpkt"
@@ -270,62 +263,6 @@ func benchBatch() entry {
 	})
 	return toEntry("region/forward-batch", r, batchSize,
 		fmt.Sprintf("ProcessBatch, %d packets per op, recycled result slice", batchSize))
-}
-
-func benchDriver() entry {
-	const queueDepth = 1024
-	d, raws := newDeployment(2)
-	drv := cluster.NewDriver(d.Region, queueDepth)
-	// Warm-up before the Results drain starts: with nothing consuming
-	// results the pipeline wedges, so every RX queue fills to capacity and
-	// the whole worst-case in-flight buffer population is allocated here,
-	// once, outside the timed region. (Fully wedged = several consecutive
-	// all-rejected rounds; stopping at the first rx_queue_full drop leaves
-	// the other node's queue short and the remainder of the ramp lands in
-	// the timed loop — the "52 B/op" this row used to report.) From then
-	// on the population-sized freelists recycle every buffer; steady state
-	// allocates nothing.
-	for consec, submitted := 0, 0; consec < 8 && submitted < 1<<22; submitted += batchSize {
-		if drv.SubmitBatch(raws, benchTime) == 0 {
-			consec++
-		} else {
-			consec = 0
-		}
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range drv.Results() {
-		}
-	}()
-	// Backpressure is counted, not busy-spun: a full queue yields to the
-	// workers and, if it stays full, parks briefly — on a saturated
-	// single-core runner an unyielding submitter starves the very workers
-	// it is waiting on.
-	var retries, spin uint64
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for n := 0; n < b.N; {
-			accepted := drv.SubmitBatch(raws, benchTime)
-			if accepted == 0 {
-				retries++
-				if spin++; spin%256 == 0 {
-					time.Sleep(20 * time.Microsecond)
-				} else {
-					runtime.Gosched()
-				}
-				continue
-			}
-			spin = 0
-			n += accepted
-		}
-	})
-	drv.Close()
-	<-done
-	return toEntry("driver/submit-batch", r, 1, fmt.Sprintf(
-		"SubmitBatch of %d across 2 node workers, RX queues pre-filled; %d backpressure retries; "+
-			"worker parallelism needs GOMAXPROCS>1 to pay off (this run: %d)",
-		batchSize, retries, runtime.GOMAXPROCS(0)))
 }
 
 // benchShardPlane measures the multi-core sharded data plane at a given
@@ -671,7 +608,7 @@ func main() {
 		GoVersion:   runtime.Version(),
 		GeneratedBy: "go run ./cmd/fastpath-bench",
 	}
-	benches := []func() entry{benchSingleShot, benchTraced, benchBatch, benchDriver}
+	benches := []func() entry{benchSingleShot, benchTraced, benchBatch}
 	for _, shards := range []int{1, 2, 4, 8} {
 		s := shards
 		benches = append(benches, func() entry { return benchShardPlane(s) })

@@ -23,7 +23,6 @@ import (
 	"net"
 	"net/netip"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -362,7 +361,14 @@ func (s *server) serveSharded() error {
 		wg.Add(1)
 		go func(sh *gwShard) {
 			defer wg.Done()
-			s.shardWorker(sh)
+			// The dispatcher is the only pusher and sets closed after its
+			// last push, so Consume strands no frame at shutdown.
+			sh.ring.Consume(&s.closed, func(frame []byte, ns int64) {
+				if err := s.process(sh.sc, frame, time.Unix(0, ns)); err != nil {
+					log.Printf("sailfish-gw: %v", err)
+				}
+				sh.processed.Add(1)
+			})
 		}(sh)
 	}
 	var rerr error
@@ -400,36 +406,6 @@ func (s *server) serveSharded() error {
 	s.closed.Store(true)
 	wg.Wait()
 	return rerr
-}
-
-// shardWorker drains one shard's ring until the dispatcher closes the
-// plane and the ring is empty. The idle backoff mirrors the shardplane
-// worker: spin briefly, then yield, then park — a loaded shard never
-// reaches the sleep tier.
-func (s *server) shardWorker(sh *gwShard) {
-	idle := 0
-	for {
-		frame, ns, ok := sh.ring.Peek()
-		if !ok {
-			if s.closed.Load() {
-				return
-			}
-			if idle++; idle < 64 {
-				continue
-			} else if idle < 256 {
-				runtime.Gosched()
-			} else {
-				time.Sleep(20 * time.Microsecond)
-			}
-			continue
-		}
-		idle = 0
-		if err := s.process(sh.sc, frame, time.Unix(0, ns)); err != nil {
-			log.Printf("sailfish-gw: %v", err)
-		}
-		sh.ring.Advance()
-		sh.processed.Add(1)
-	}
 }
 
 // send strips the outer encapsulation from a rewritten frame and transmits
@@ -524,13 +500,19 @@ func (s *server) process(sc *xgwh.PacketScratch, frame []byte, now time.Time) er
 				return s.send(dres.NC, dres.Out, now)
 			}
 		}
+		// A miss the DPU did not absorb is booked to x86 before the pool
+		// runs, as the region's lanes do, so an x86 failure still keeps
+		// FallbackMiss == DPUServed + FallbackMissX86 + dpu errors.
+		if res.FallbackMiss {
+			s.sloFallbackMissX86(vni)
+		}
 		// HW/SW co-design: the software node completes the long tail.
 		var fres xgw86.FallbackResult
 		if ferr := s.x86.ProcessParsed(pkt, now, &fres); ferr != nil {
 			s.sloDrop(vni)
 			return fmt.Errorf("software path: %w", ferr)
 		}
-		s.sloFallback(vni, res.FallbackMiss)
+		s.sloFallback(vni)
 		return s.send(fres.NC, fres.Out, now)
 	default:
 		s.sloDrop(vni)

@@ -347,3 +347,51 @@ func TestShardedWorkersConfigGates(t *testing.T) {
 		t.Fatal("sharded serve with pcap accepted")
 	}
 }
+
+// A hardware miss the x86 path cannot complete — a datagram for a tracked
+// tenant's VM that neither tier knows — is booked as FallbackMiss, then
+// FallbackMissX86 and Drop, as the region's lanes book it. The per-VNI
+// identity FallbackMiss == DPUServed + FallbackMissX86 (+ DPU errors, none
+// here without a DPU tier) must hold on the collector.
+func TestSLOLedgerBooksX86MissBeforePoolFailure(t *testing.T) {
+	srv, err := newServer(fileConfig{
+		GatewayIP: "10.255.0.1",
+		Listen:    "127.0.0.1:0",
+		Underlay:  map[string]string{"10.1.1.12": "127.0.0.1:9"},
+		Tenants: []tenantConfig{{
+			VNI: 100, Prefix: "192.168.10.0/24",
+			VMs: map[string]string{"192.168.10.3": "10.1.1.12"},
+		}},
+		SLO: &sloConfig{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.conn.Close()
+
+	sbuf := netpkt.NewSerializeBuffer(64, 512)
+	if err := netpkt.SerializeLayers(sbuf, []byte("lost"),
+		&netpkt.VXLAN{VNI: 100},
+		&netpkt.Ethernet{EtherType: netpkt.EtherTypeIPv4},
+		&netpkt.IPv4{TTL: 64, Protocol: netpkt.IPProtocolUDP,
+			SrcIP: netip.MustParseAddr("192.168.10.2"),
+			DstIP: netip.MustParseAddr("192.168.10.77")},
+		&netpkt.UDP{SrcPort: 5000, DstPort: 6000},
+	); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.handle(sbuf.Bytes()); err == nil {
+		t.Fatal("datagram for an unknown VM was delivered")
+	}
+	c, ok := srv.sloCol.Snapshot(100)
+	if !ok {
+		t.Fatal("tenant 100 is not tracked")
+	}
+	if c.FallbackMiss != 1 || c.FallbackMissX86 != 1 || c.Dropped != 1 || c.Fallback != 0 {
+		t.Fatalf("miss not booked as fallback_miss + x86 + drop: %+v", c)
+	}
+	if c.FallbackMiss != c.DPUServed+c.FallbackMissX86 {
+		t.Fatalf("FallbackMiss %d != DPUServed %d + FallbackMissX86 %d",
+			c.FallbackMiss, c.DPUServed, c.FallbackMissX86)
+	}
+}

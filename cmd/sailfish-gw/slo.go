@@ -93,8 +93,9 @@ func (s *server) enableSLO(sc sloConfig, fc fileConfig) {
 }
 
 // sloOutcome books one datagram's disposition into the collector, mirroring
-// the region-lane taxonomy: forward, DPU-served, x86 fallback (with the miss
-// marker), or drop. vni is 0 when the front parse failed — the collector
+// the region-lane taxonomy: forward, DPU-served, x86 fallback, or drop, with
+// a hardware miss booked as FallbackMiss and then DPUServed or
+// FallbackMissX86. vni is 0 when the front parse failed — the collector
 // routes that to its untracked cell.
 func (s *server) sloForward(vni netpkt.VNI) {
 	if s.sloCol != nil {
@@ -120,11 +121,14 @@ func (s *server) sloDPUServed(vni netpkt.VNI) {
 	}
 }
 
-func (s *server) sloFallback(vni netpkt.VNI, miss bool) {
+func (s *server) sloFallbackMissX86(vni netpkt.VNI) {
+	if s.sloCol != nil {
+		s.sloCol.FallbackMissX86(vni)
+	}
+}
+
+func (s *server) sloFallback(vni netpkt.VNI) {
 	if s.sloCol != nil {
 		s.sloCol.Fallback(vni)
-		if miss {
-			s.sloCol.FallbackMissX86(vni)
-		}
 	}
 }

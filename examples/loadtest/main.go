@@ -1,6 +1,6 @@
-// Loadtest drives a region's concurrent packet driver — one worker
-// goroutine per XGW-H, as each chip is an independent pipeline — with a
-// multi-flow packet storm, then reports the achieved rate, the per-node
+// Loadtest drives a region through the sharded data plane — flows hashed
+// onto per-shard rings, each shard running its packets to completion — with
+// a multi-flow packet storm, then reports the achieved rate, the per-node
 // ECMP spread, and the behavioral latency distribution of the folded
 // pipeline model.
 package main
@@ -10,13 +10,26 @@ import (
 	"fmt"
 	"log"
 	"net/netip"
+	"runtime"
 	"time"
 
 	"sailfish/internal/cluster"
 	"sailfish/internal/metrics"
 	"sailfish/internal/netpkt"
+	"sailfish/internal/shardplane"
 	"sailfish/internal/tables"
 )
+
+// shards is the plane's run-to-completion worker count.
+const shards = 2
+
+// tally is one shard's share of the outcome accounting. The sink runs on
+// the shard's own worker goroutine, so each tally is written by one
+// goroutine only and read after Close.
+type tally struct {
+	perNode map[string]int
+	errs    int
+}
 
 func main() {
 	packets := flag.Int("n", 200_000, "packets to push")
@@ -53,30 +66,45 @@ func main() {
 		flows[i] = cp
 	}
 
-	d := cluster.NewDriver(region, 1024)
-	perNode := map[string]int{}
-	lat := metrics.NewHistogram([]float64{2100, 2150, 2200, 2300, 2500})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for dr := range d.Results() {
-			if dr.Err != nil {
-				log.Fatal(dr.Err)
+	tallies := make([]tally, shards)
+	for i := range tallies {
+		tallies[i].perNode = map[string]int{}
+	}
+	lat := metrics.NewAtomicHistogram([]float64{2100, 2150, 2200, 2300, 2500})
+	p := shardplane.New(region, shardplane.Config{
+		Shards: shards,
+		Sink: func(shard int, res cluster.Result, err error) {
+			t := &tallies[shard]
+			if err != nil {
+				t.errs++
+				return
 			}
-			perNode[dr.Result.NodeID]++
-			lat.Observe(dr.Result.GW.LatencyNs)
-		}
-	}()
+			t.perNode[res.NodeID]++
+			lat.Observe(res.GW.LatencyNs)
+		},
+	})
 
 	start := time.Now()
 	now := time.Unix(0, 0)
 	for i := 0; i < *packets; i++ {
-		for !d.Submit(flows[i%len(flows)], now) {
+		for !p.Submit(flows[i%len(flows)], now) {
+			runtime.Gosched() // ring full: let the shard drain
 		}
 	}
-	d.Close()
-	<-done
+	p.Close()
 	elapsed := time.Since(start)
+
+	perNode := map[string]int{}
+	errs := 0
+	for _, t := range tallies {
+		for id, n := range t.perNode {
+			perNode[id] += n
+		}
+		errs += t.errs
+	}
+	if errs > 0 {
+		log.Fatalf("%d packets failed", errs)
+	}
 
 	fmt.Printf("pushed %d packets through %d nodes in %v (%.0f kpps behavioral)\n",
 		*packets, *nodes, elapsed.Round(time.Millisecond),
@@ -86,6 +114,6 @@ func main() {
 		fmt.Printf("  %-16s %7d (%.1f%%)\n", id, n, 100*float64(n)/float64(*packets))
 	}
 	fmt.Printf("modeled pipeline latency: mean %.0f ns, p50 ≤ %.0f ns, p99 ≤ %.0f ns\n",
-		lat.Mean(), lat.Quantile(0.5), lat.Quantile(0.99))
+		lat.Sum()/float64(lat.Count()), lat.Quantile(0.5), lat.Quantile(0.99))
 	fmt.Println("(each packet crossed 2 folded pipeline passes; the model's chip does 1.8 Gpps)")
 }

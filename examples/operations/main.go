@@ -117,7 +117,7 @@ func main() {
 	for i := range d.Region.Clusters[0].Nodes {
 		d.Region.Clusters[0].RestoreNode(i)
 	}
-	d.Region.RestoreCluster(0)
+	d.Region.FailbackCluster(0)
 	res5, _ := d.DeliverVXLANAt(raw, time.Unix(0, 0))
 	fmt.Printf("after recovery: served by %s\n", res5.NodeID)
 }

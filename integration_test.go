@@ -324,7 +324,7 @@ func TestChaosFailuresNeverMisdeliver(t *testing.T) {
 		case 4:
 			d.Region.FailoverCluster(c.ID)
 		case 5:
-			d.Region.RestoreCluster(c.ID)
+			d.Region.FailbackCluster(c.ID)
 		}
 		// Traffic burst against random destinations.
 		for k := 0; k < 5; k++ {

@@ -21,8 +21,9 @@ import (
 // lane per shard and drives them concurrently — per-flow affinity comes from
 // the caller sharding by flow hash, and everything a lane touches outside
 // its own fields is either read-pure at traffic time (steering tables,
-// cluster modes — the same control-plane quiescence contract the Driver
-// documents) or internally synchronized (gateway tables, SNAT, counters).
+// cluster modes: control-plane mutations may not run concurrently with
+// traffic, just as production quiesces a node before reprogramming it) or
+// internally synchronized (gateway tables, SNAT, counters).
 //
 // The lane is a single pass: each packet is parsed once into the lane's
 // PacketScratch, its flow hash is computed once, and XGW-H, the DPU and

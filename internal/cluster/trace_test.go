@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"sailfish/internal/heavyhitter"
@@ -154,40 +153,24 @@ func TestDropParityAcrossStages(t *testing.T) {
 	fb.Routes.Insert(42, pfx("192.168.0.0/16"), tables.Route{Scope: tables.ScopeLocal})
 	fb.ProcessFallback(buildPacket(t, 42, "192.168.0.1", "192.168.0.9"), t0()) //nolint:errcheck // no_vm
 
-	// Region 2 exercises the driver stage: the same recorder, the driver's
-	// own taxonomy.
-	rD, rawsD := dropMix(t)
-	rD.EnableTracing(rec)
-	d := NewDriver(rD, 64)
-	d.SubmitBatch(rawsD, t0())
-	d.Close()
-	drain(d)
-	if d.Submit(rawsD[0], t0()) { // driver_closed
-		t.Fatal("Submit accepted after Close")
-	}
-
 	// Per-stage reconciliation, both directions (DeepEqual is symmetric).
-	gwReasons := func(r *Region) []map[string]uint64 {
-		var out []map[string]uint64
-		for _, c := range r.Clusters {
-			for _, half := range []*Cluster{c, c.Backup} {
-				if half == nil {
-					continue
-				}
-				for _, n := range half.Nodes {
-					out = append(out, n.GW.Stats().DropReasons)
-				}
+	var gwReasons []map[string]uint64
+	for _, c := range r.Clusters {
+		for _, half := range []*Cluster{c, c.Backup} {
+			if half == nil {
+				continue
+			}
+			for _, n := range half.Nodes {
+				gwReasons = append(gwReasons, n.GW.Stats().DropReasons)
 			}
 		}
-		return out
 	}
 	checks := []struct {
 		stage trace.Stage
 		want  map[string]uint64
 	}{
-		{trace.StageFront, sumReasons(r.Stats().FrontDrops, rD.Stats().FrontDrops)},
-		{trace.StageDriver, nonzero(d.Stats().DropReasons)},
-		{trace.StageGateway, sumReasons(append(gwReasons(r), gwReasons(rD)...)...)},
+		{trace.StageFront, sumReasons(r.Stats().FrontDrops)},
+		{trace.StageGateway, sumReasons(gwReasons...)},
 		{trace.StageFallback, sumReasons(fb.Stats().DropReasons)},
 	}
 	for _, c := range checks {
@@ -294,95 +277,4 @@ func TestForwardPathZeroAllocTraced(t *testing.T) {
 	r3.EnableTracing(trace.New(trace.Config{Shards: 2, SlotsPerShard: 256, SampleShift: 0}))
 	r3.EnableHeavyHitters(heavyhitter.NewTracker(64))
 	pin("tracing enabled, flow sampled in", r3, raw3)
-}
-
-// TestTraceCoherentUnderLiveDriver hammers the flight recorder and the
-// heavy-hitter tracker from scraper goroutines while Driver workers push
-// traffic through the region — the -race leg of the Makefile is the real
-// assertion here.
-func TestTraceCoherentUnderLiveDriver(t *testing.T) {
-	rec := trace.New(trace.Config{Shards: 4, SlotsPerShard: 256, SampleShift: 2})
-	hh := heavyhitter.NewTracker(128)
-	r := NewRegion(smallConfig(), 2, 1)
-	installTenant(t, r, 0, 100)
-	installTenant(t, r, 1, 101)
-	r.EnableTracing(rec)
-	r.EnableHeavyHitters(hh)
-	d := NewDriver(r, 64)
-
-	stop := make(chan struct{})
-	var scrapers sync.WaitGroup
-	for g := 0; g < 3; g++ {
-		scrapers.Add(1)
-		go func() {
-			defer scrapers.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				_ = rec.Snapshot()
-				_ = rec.Events(trace.Filter{DropsOnly: true})
-				_ = rec.DropCounts()
-				_ = hh.TopFlows(10)
-				_ = hh.HotEntries(0.95)
-				_ = hh.VNISkewSummary()
-			}
-		}()
-	}
-
-	const perWorker = 2000
-	const workers = 2
-	const unrouted = workers * perWorker / 10 // every 10th packet has no steering
-	var submitters sync.WaitGroup
-	var mu sync.Mutex
-	accepted := 0
-	for g := 0; g < workers; g++ {
-		submitters.Add(1)
-		go func(g int) {
-			defer submitters.Done()
-			acc := 0
-			for i := 0; i < perWorker; i++ {
-				vni := netpkt.VNI(100 + g)
-				if i%10 == 9 {
-					vni = 999 // unsteered: driver no_route drop, always recorded
-				}
-				raw := buildPacket(t, vni, fmt.Sprintf("192.168.%d.%d", g, i%50+1), "192.168.0.5")
-				if d.Submit(raw, t0()) {
-					acc++
-				}
-			}
-			mu.Lock()
-			accepted += acc
-			mu.Unlock()
-		}(g)
-	}
-
-	drained := 0
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range d.Results() {
-			drained++
-		}
-	}()
-
-	submitters.Wait()
-	close(stop)
-	scrapers.Wait()
-	d.Close()
-	<-done
-
-	if drained != accepted {
-		t.Fatalf("drained %d results for %d accepted packets", drained, accepted)
-	}
-	// The tracker sees every successfully routed packet — including ones the
-	// rx queue then rejected under backpressure (steering happens at Submit).
-	if got := hh.TotalPackets(); got != workers*perWorker-unrouted {
-		t.Fatalf("heavy hitters observed %d packets, want %d routed", got, workers*perWorker-unrouted)
-	}
-	if got := recorderReasons(rec, trace.StageDriver)["no_route"]; got != unrouted {
-		t.Fatalf("recorder tallied %d driver no_route drops, want %d", got, unrouted)
-	}
 }

@@ -244,8 +244,8 @@ func TestTopFlowsAndSkew(t *testing.T) {
 	}
 }
 
-// Steady-state Observe — hot keys resident — must not allocate, since the
-// Driver feeds it from the fast path.
+// Steady-state Observe — hot keys resident — must not allocate, since every
+// lane feeds it from the fast path.
 func TestObserveSteadyStateZeroAlloc(t *testing.T) {
 	tr := NewTracker(8)
 	keys := [4]netip.Addr{ip(1), ip(2), ip(3), ip(4)}

@@ -13,7 +13,9 @@
 package shardplane
 
 import (
+	"runtime"
 	"sync/atomic"
+	"time"
 )
 
 // cacheLinePad keeps the producer- and consumer-owned ring positions on
@@ -135,4 +137,40 @@ func (r *Ring) Peek() (p []byte, nowNs int64, ok bool) {
 // Consumer side only.
 func (r *Ring) Advance() {
 	r.head.Store(r.head.Load() + 1)
+}
+
+// Consume is the consumer's run loop: it hands each frame and its packet
+// clock to handle, then releases the slot, until closed is set and the ring
+// is empty. When idle it backs off (spin → yield → sleep), so an idle
+// consumer doesn't burn its core while a busy one never reaches the sleep
+// tier. The producer must finish its last Push before setting closed; a
+// frame pushed between a failed Peek and the closed load is then caught by
+// one re-check, so no accepted frame is stranded. handle must not retain
+// the frame past its return. Consumer side only.
+func (r *Ring) Consume(closed *atomic.Bool, handle func(p []byte, nowNs int64)) {
+	idle := 0
+	for {
+		p, ns, ok := r.Peek()
+		if !ok {
+			if closed.Load() {
+				if _, _, again := r.Peek(); again {
+					continue
+				}
+				return
+			}
+			idle++
+			switch {
+			case idle < 64:
+				// spin: the producer is usually mid-burst
+			case idle < 256:
+				runtime.Gosched()
+			default:
+				time.Sleep(20 * time.Microsecond)
+			}
+			continue
+		}
+		idle = 0
+		handle(p, ns)
+		r.Advance()
+	}
 }

@@ -3,6 +3,8 @@ package shardplane
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -94,5 +96,41 @@ func TestRingPeekAliasesUntilAdvance(t *testing.T) {
 	r.Advance()
 	if _, _, ok := r.Peek(); ok {
 		t.Fatal("ring should be empty after advance")
+	}
+}
+
+// TestRingConsumeStrandsNothingAtClose races a producer's last push against
+// its closed store, many times over: the consumer often finds the ring
+// empty just before that push lands and then sees closed set. Every pushed
+// frame must still be consumed, in order (run under -race by the race gate).
+func TestRingConsumeStrandsNothingAtClose(t *testing.T) {
+	for round := 0; round < 10000; round++ {
+		r := NewRing(4, 8)
+		var closed atomic.Bool
+		consumed := 0
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			r.Consume(&closed, func(p []byte, ns int64) {
+				if int(ns) != consumed || p[0] != byte(consumed) {
+					t.Errorf("round %d: frame %d arrived as (%v, %d)", round, consumed, p, ns)
+				}
+				consumed++
+			})
+		}()
+		pushed := round%7 + 1
+		for i := 0; i < pushed; i++ {
+			if i == pushed-1 {
+				runtime.Gosched() // let the consumer catch up and find the ring empty
+			}
+			for !r.Push([]byte{byte(i)}, int64(i)) {
+				runtime.Gosched()
+			}
+		}
+		closed.Store(true)
+		<-done
+		if consumed != pushed {
+			t.Fatalf("round %d: consumed %d of %d pushed frames", round, consumed, pushed)
+		}
 	}
 }

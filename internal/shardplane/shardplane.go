@@ -100,20 +100,21 @@ type planeShard struct {
 // safe from any goroutine at any time.
 //
 // The control-plane quiescence contract is the Region's: table and mode
-// mutations may not run concurrently with traffic (same rule the Driver
-// documents).
+// mutations may not run concurrently with traffic, just as production
+// quiesces a node before reprogramming it. Stats, ResetStats and scrapes
+// may.
 type Plane struct {
 	region *cluster.Region
 	cfg    Config
 	shards []*planeShard
 
-	// mu serializes Close against in-flight Submit/SubmitBatch pushes, the
-	// same discipline cluster.Driver uses: submitters hold the read side
-	// across the ring push, Close takes the write side to flip closed, so
-	// no frame can land in a ring after Close observed it — a racing
-	// submit is rejected (Submit returns false) rather than stranding the
-	// frame in a ring no worker will drain. closed stays atomic so the
-	// worker poll loop reads it without the lock.
+	// mu serializes Close against in-flight Submit/SubmitBatch pushes:
+	// submitters hold the read side across the ring push, Close takes the
+	// write side to flip closed, so no frame can land in a ring after
+	// Close observed it — a racing submit is rejected (Submit returns
+	// false) rather than stranding the frame in a ring no worker will
+	// drain. closed stays atomic so the worker poll loop reads it without
+	// the lock.
 	mu     sync.RWMutex
 	closed atomic.Bool
 	wg     sync.WaitGroup
@@ -236,44 +237,19 @@ func (p *Plane) SubmitBatch(raws [][]byte, now time.Time) int {
 }
 
 // worker is one shard's run-to-completion loop: drain the ring through the
-// lane, hand each outcome to the sink, back off when idle (spin → yield →
-// sleep, so an idle plane doesn't burn its cores).
+// lane and hand each outcome to the sink. No push starts after closed is
+// set (Close's write lock waits the in-flight ones out), which is the
+// ordering Ring.Consume needs to strand nothing.
 func (p *Plane) worker(s *planeShard) {
 	defer p.wg.Done()
 	sink := p.cfg.Sink
-	idle := 0
-	for {
-		raw, ns, ok := s.ring.Peek()
-		if !ok {
-			if p.closed.Load() {
-				// A submit racing Close may have pushed between the failed
-				// Peek above and the closed flip; no push can start after
-				// closed (Close's write lock waited the in-flight ones
-				// out), so one re-check after observing closed suffices.
-				if _, _, again := s.ring.Peek(); again {
-					continue
-				}
-				return
-			}
-			idle++
-			switch {
-			case idle < 64:
-				// spin: the dispatcher is usually mid-burst
-			case idle < 256:
-				runtime.Gosched()
-			default:
-				time.Sleep(20 * time.Microsecond)
-			}
-			continue
-		}
-		idle = 0
+	s.ring.Consume(&p.closed, func(raw []byte, ns int64) {
 		res, err := s.lane.Process(raw, time.Unix(0, ns))
 		if sink != nil {
 			sink(s.id, res, err)
 		}
-		s.ring.Advance()
 		s.processed.Add(1)
-	}
+	})
 }
 
 // Close stops the intake and waits for every shard to drain and exit.
@@ -299,12 +275,9 @@ func (p *Plane) Close() {
 // goal).
 func (p *Plane) Drain() {
 	for _, s := range p.shards {
-		for s.ring.Len() > 0 {
-			runtime.Gosched()
-		}
-		// The worker advances the ring before bumping processed; spin the
-		// last packet's accounting in too.
-		for s.processed.Load() < s.accepted.Load() {
+		// Wait out both the accounting and the slot release, so Stats
+		// reads Depth 0 and Processed == Accepted afterwards.
+		for s.ring.Len() > 0 || s.processed.Load() < s.accepted.Load() {
 			runtime.Gosched()
 		}
 	}

@@ -18,6 +18,7 @@ import (
 	"sailfish/internal/netpkt"
 	"sailfish/internal/tables"
 	"sailfish/internal/trace"
+	"sailfish/internal/xgwh"
 )
 
 func addr(s string) netip.Addr  { return netip.MustParseAddr(s) }
@@ -85,17 +86,6 @@ func nonzero(m map[string]uint64) map[string]uint64 {
 		}
 	}
 	return out
-}
-
-// sumReasons merges per-subsystem reason maps, dropping zero cells.
-func sumReasons(ms ...map[string]uint64) map[string]uint64 {
-	out := map[string]uint64{}
-	for _, m := range ms {
-		for k, v := range m {
-			out[k] += v
-		}
-	}
-	return nonzero(out)
 }
 
 // mergedReasons materializes one stage of a merged drop tally as a
@@ -415,7 +405,7 @@ func TestShardedStatsParityMixedWorkload(t *testing.T) {
 // TestShardedDropParityAcrossStages extends the cross-stage drop-accounting
 // reconciliation to the sharded path: every drop tallied across the
 // per-shard flight recorders must appear in the owning subsystem's counters
-// with the same count and vice versa — front, driver, gateway and fallback
+// with the same count and vice versa — front, gateway, fallback and DPU
 // stages, with traffic delivered through a 4-shard plane.
 func TestShardedDropParityAcrossStages(t *testing.T) {
 	r, raws := buildParityWorld(t)
@@ -452,30 +442,9 @@ func TestShardedDropParityAcrossStages(t *testing.T) {
 	fb.Routes.Insert(42, pfx("192.168.0.0/16"), tables.Route{Scope: tables.ScopeLocal})
 	fb.ProcessFallback(buildFlowPacket(t, 42, "192.168.0.1", "192.168.0.9", 999), t0()) //nolint:errcheck // no_vm
 
-	// Driver stage: a second region shares shard 0's recorder, so driver
-	// drops flow into the same merged tally the plane scrapes.
 	recs := p.Recorders()
 	if len(recs) != 4 {
 		t.Fatalf("recorders: %d, want 4", len(recs))
-	}
-	rD := cluster.NewRegion(smallConfig(), 2, 0)
-	installTenant(t, rD, 0, 100)
-	installTenant(t, rD, 1, 101)
-	rD.SetClusterEnabled(1, false)
-	rD.EnableTracing(recs[0])
-	d := cluster.NewDriver(rD, 64)
-	rawsD := [][]byte{
-		buildFlowPacket(t, 100, "192.168.0.1", "192.168.0.5", 999),
-		buildFlowPacket(t, 101, "192.168.0.1", "192.168.0.5", 999), // cluster_disabled
-		buildFlowPacket(t, 999, "192.168.0.1", "192.168.0.5", 999), // no_route
-		{1, 2, 3}, // parse_error
-	}
-	d.SubmitBatch(rawsD, t0())
-	d.Close()
-	for range d.Results() {
-	}
-	if d.Submit(rawsD[0], t0()) { // driver_closed
-		t.Fatal("Submit accepted after Close")
 	}
 
 	// DPU stage: a three-tier region shares shard 0's recorder. One tenant
@@ -521,17 +490,13 @@ func TestShardedDropParityAcrossStages(t *testing.T) {
 
 	// Per-stage reconciliation over the merged tally, both directions.
 	dcs := p.DropCounts()
+	_, _, gwReasons := gwTotals(r)
 	checks := []struct {
 		stage trace.Stage
 		want  map[string]uint64
 	}{
-		{trace.StageFront, sumReasons(p.Stats().Region.FrontDrops, rD.Stats().FrontDrops)},
-		{trace.StageDriver, nonzero(d.Stats().DropReasons)},
-		{trace.StageGateway, func() map[string]uint64 {
-			_, _, a := gwTotals(r)
-			_, _, b := gwTotals(rD)
-			return sumReasons(a, b)
-		}()},
+		{trace.StageFront, nonzero(p.Stats().Region.FrontDrops)},
+		{trace.StageGateway, gwReasons},
 		{trace.StageFallback, func() map[string]uint64 {
 			m := map[string]uint64{}
 			for _, n := range r.Fallback {
@@ -672,9 +637,11 @@ func TestShardPlaneZeroAllocForward(t *testing.T) {
 }
 
 // TestShardPlaneConcurrentScrape hammers every scrape surface while the
-// dispatcher floods the shards with the full mixed workload; run under
-// -race this is the concurrency proof for merge-on-scrape. The final
-// accounting must still balance exactly.
+// dispatcher floods the shards with the full mixed workload — the plane's
+// merged views, the region's FallbackRatio and every gateway's Stats, with
+// one gateway's counters reset concurrently; run under -race this is the
+// concurrency proof for merge-on-scrape. The final accounting must still
+// balance exactly.
 func TestShardPlaneConcurrentScrape(t *testing.T) {
 	r, raws := buildParityWorld(t)
 	p := New(r, Config{
@@ -703,6 +670,12 @@ func TestShardPlaneConcurrentScrape(t *testing.T) {
 				_ = p.DropCounts()
 				_ = p.Events(trace.Filter{DropsOnly: true})
 				_ = p.HeavyHitters()
+				_ = r.FallbackRatio()
+				for _, c := range r.Clusters {
+					for _, n := range c.AllNodes() {
+						_ = n.GW.Stats()
+					}
+				}
 				var buf bytes.Buffer
 				if err := reg.WritePrometheus(&buf); err != nil {
 					t.Error(err)
@@ -711,6 +684,22 @@ func TestShardPlaneConcurrentScrape(t *testing.T) {
 			}
 		}()
 	}
+	gw, ok := r.Clusters[0].Nodes[0].GW.(*xgwh.Gateway)
+	if !ok {
+		t.Fatal("cluster 0 node 0 is not a hardware gateway")
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			gw.ResetStats()
+		}
+	}()
 
 	const rounds = 20
 	for i := 0; i < rounds; i++ {

@@ -33,8 +33,8 @@ import (
 	"sailfish/internal/tables"
 )
 
-// Store errors. Port exhaustion intentionally reuses the legacy sentinel so
-// callers (and the xgw86 drop taxonomy) need no new case.
+// Store errors. Port exhaustion reuses tables.ErrSNATExhausted so callers
+// (and the xgw86 drop taxonomy) need no new case.
 var (
 	// ErrExhausted reports that no public IP/port is free in the session's
 	// shard.
@@ -45,7 +45,6 @@ var (
 )
 
 // snatPortMin is the first allocatable source port; low ports are reserved.
-// Identical to the legacy tables.SNATTable policy.
 const snatPortMin = 1024
 
 // portSpace is the allocatable port count per public IP.

@@ -91,6 +91,19 @@ func TestTranslateStableAndDistinct(t *testing.T) {
 	if st.Sessions() != 2 {
 		t.Fatalf("Sessions = %d, want 2", st.Sessions())
 	}
+
+	// Within a shard, successive sessions rotate over the public IPs.
+	ips := pool(3)
+	st = New(Config{PublicIPs: ips, Shards: 1})
+	for i := uint32(0); i < 30; i++ {
+		b, err := st.Translate(seqKey(i), at(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := ips[i%3]; b.PublicIP != want {
+			t.Fatalf("session %d on %v, want round-robin %v", i, b.PublicIP, want)
+		}
+	}
 }
 
 func TestTranslateNotIPv4(t *testing.T) {
@@ -146,20 +159,35 @@ func TestReleaseRecyclesBinding(t *testing.T) {
 		t.Fatalf("Sessions = %d after release", st.Sessions())
 	}
 	// The freed (IP, port) must be reallocatable: exhaust the shard's port
-	// range and confirm no pair is lost.
+	// range and confirm no pair is lost. The cursor runs up to port 65535,
+	// wraps to snatPortMin and only then reaches the freed pair, which goes
+	// to the last new session with its reverse entry.
 	seen := map[tables.SNATBinding]bool{}
+	var last tables.SNATBinding
+	var lastKey tables.SNATKey
 	for i := uint32(0); ; i++ {
-		bb, err := st.Translate(seqKey(100+i), at(0))
+		kk := seqKey(100 + i)
+		bb, err := st.Translate(kk, at(0))
 		if err != nil {
 			break
 		}
 		if seen[bb] {
 			t.Fatalf("binding %v allocated twice", bb)
 		}
+		if last.PublicPort == 65535 && bb.PublicPort != snatPortMin {
+			t.Fatalf("cursor did not wrap: port %d after 65535", bb.PublicPort)
+		}
 		seen[bb] = true
+		last, lastKey = bb, kk
 	}
 	if len(seen) != portSpace {
 		t.Fatalf("allocated %d bindings, want %d", len(seen), portSpace)
+	}
+	if last != b {
+		t.Fatalf("last allocation %v, want the freed pair %v", last, b)
+	}
+	if got, ok := st.ReverseLookup(b, lastKey.Flow.Dst, lastKey.Flow.DstPort, lastKey.Flow.Proto, at(1)); !ok || got != lastKey {
+		t.Fatalf("reused pair reverse-resolves to %+v %v, want %+v", got, ok, lastKey)
 	}
 }
 
@@ -190,20 +218,37 @@ func TestExhaustion(t *testing.T) {
 	if filled != perShard {
 		t.Fatalf("shard accepted %d sessions, want its port slice %d", filled, perShard)
 	}
+
+	// A full IP is skipped: with the first IP's ports all owned, the
+	// allocator moves on to the next IP within the same call.
+	ips := pool(2)
+	st = New(Config{PublicIPs: ips, Shards: 1})
+	for off := 0; off < st.portsPerShard; off++ {
+		st.shards[0].portOwner[off] = 1
+	}
+	b, err := st.Translate(seqKey(1), at(0))
+	if err != nil || b.PublicIP != ips[1] {
+		t.Fatalf("full first IP: got %v (%v), want a port on %v", b, err, ips[1])
+	}
 }
 
 func TestExpireIdleFullSweep(t *testing.T) {
 	st := New(Config{PublicIPs: pool(2), Shards: 8})
 	for i := uint32(0); i < 100; i++ {
-		if _, err := st.Translate(seqKey(i), at(0)); err != nil {
+		if _, err := st.Translate(seqKey(i), at(100)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Refresh half at t=50.
-	for i := uint32(0); i < 50; i++ {
-		st.Touch(seqKey(i), at(50))
+	// Translate seeds the idle timer: sessions never Touched survive until
+	// creation + ttl.
+	if n := st.ExpireIdle(at(129), 30*time.Second); n != 0 {
+		t.Fatalf("expired %d sessions before their ttl", n)
 	}
-	if n := st.ExpireIdle(at(60), 30*time.Second); n != 50 {
+	// Refresh half at t=150.
+	for i := uint32(0); i < 50; i++ {
+		st.Touch(seqKey(i), at(150))
+	}
+	if n := st.ExpireIdle(at(160), 30*time.Second); n != 50 {
 		t.Fatalf("expired %d, want 50", n)
 	}
 	if st.Sessions() != 50 {

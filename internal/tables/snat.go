@@ -3,7 +3,6 @@ package tables
 import (
 	"errors"
 	"net/netip"
-	"time"
 
 	"sailfish/internal/netpkt"
 )
@@ -15,7 +14,8 @@ var (
 )
 
 // SNATKey identifies a private session: the tenant's VNI plus the inner
-// five-tuple (Fig. 11's "Session Five-tuple").
+// five-tuple (Fig. 11's "Session Five-tuple"). The session store that
+// allocates against it lives in internal/snat.
 type SNATKey struct {
 	VNI  netpkt.VNI
 	Flow netpkt.Flow
@@ -25,173 +25,4 @@ type SNATKey struct {
 type SNATBinding struct {
 	PublicIP   netip.Addr
 	PublicPort uint16
-}
-
-// snatReverseKey identifies a session from the public side: the response
-// arrives at (PublicIP, PublicPort) from (PeerIP, PeerPort).
-type snatReverseKey struct {
-	Public   SNATBinding
-	PeerIP   netip.Addr
-	PeerPort uint16
-	Proto    netpkt.IPProtocol
-}
-
-// SNATTable is the stateful source-NAT session table held by XGW-x86
-// (§4.2, Fig. 11). Sessions map a private five-tuple to a public IP/source
-// port; the reverse map delivers responses back to the session. Entry counts
-// reach O(100M) in production — far beyond on-chip memory — which is exactly
-// why the table lives in software DRAM.
-//
-// SNATTable is the legacy single-shard implementation; the survivable
-// sharded store with standby replication lives in internal/snat and is what
-// the XGW-x86 pool runs. SNATTable remains the simple reference semantics
-// (and the shape one core's shard would have).
-//
-// SNATTable is not safe for concurrent use; each XGW-x86 core owns a shard.
-type SNATTable struct {
-	fwd      map[SNATKey]SNATBinding
-	rev      map[snatReverseKey]SNATKey
-	pool     []netip.Addr          // public IPs to allocate from
-	next     int                   // rotating index into pool, wraps in place
-	ports    map[netip.Addr]uint16 // next candidate port per public IP
-	inUse    map[SNATBinding]bool
-	lastSeen map[SNATKey]time.Time // idle timers for aging sweeps
-}
-
-// snatPortMin is the first allocatable source port; low ports are reserved.
-const snatPortMin = 1024
-
-// NewSNATTable returns a table allocating from the given public IPs.
-func NewSNATTable(publicIPs []netip.Addr) *SNATTable {
-	t := &SNATTable{
-		fwd:      make(map[SNATKey]SNATBinding),
-		rev:      make(map[snatReverseKey]SNATKey),
-		pool:     append([]netip.Addr(nil), publicIPs...),
-		ports:    make(map[netip.Addr]uint16),
-		inUse:    make(map[SNATBinding]bool),
-		lastSeen: make(map[SNATKey]time.Time),
-	}
-	for _, ip := range t.pool {
-		t.ports[ip] = snatPortMin
-	}
-	return t
-}
-
-// Len returns the number of live sessions.
-func (t *SNATTable) Len() int { return len(t.fwd) }
-
-// Translate returns the binding for the session, allocating one on first
-// use. The returned binding rewrites the packet's inner source IP and port.
-// now seeds the new session's idle timer at creation time, so a session that
-// is allocated but never Touched still survives a full ttl before ExpireIdle
-// reaps it.
-func (t *SNATTable) Translate(k SNATKey, now time.Time) (SNATBinding, error) {
-	if b, ok := t.fwd[k]; ok {
-		return b, nil
-	}
-	b, err := t.allocate()
-	if err != nil {
-		return SNATBinding{}, err
-	}
-	t.fwd[k] = b
-	t.rev[reverseKey(k, b)] = k
-	t.lastSeen[k] = now
-	return b, nil
-}
-
-// Lookup returns the existing binding without allocating.
-func (t *SNATTable) Lookup(k SNATKey) (SNATBinding, bool) {
-	b, ok := t.fwd[k]
-	return b, ok
-}
-
-// ReverseLookup maps a response packet — arriving at public (ip, port) from
-// peer (peerIP, peerPort) — back to the originating session key.
-func (t *SNATTable) ReverseLookup(b SNATBinding, peerIP netip.Addr, peerPort uint16, proto netpkt.IPProtocol) (SNATKey, bool) {
-	k, ok := t.rev[snatReverseKey{Public: b, PeerIP: peerIP, PeerPort: peerPort, Proto: proto}]
-	return k, ok
-}
-
-// Release tears down a session, freeing its public port.
-func (t *SNATTable) Release(k SNATKey) bool {
-	b, ok := t.fwd[k]
-	if !ok {
-		return false
-	}
-	delete(t.fwd, k)
-	delete(t.rev, reverseKey(k, b))
-	delete(t.inUse, b)
-	delete(t.lastSeen, k)
-	return true
-}
-
-// Touch records traffic on a session at the given instant, refreshing its
-// idle timer. Translate callers should Touch per packet.
-func (t *SNATTable) Touch(k SNATKey, now time.Time) {
-	if _, ok := t.fwd[k]; ok {
-		t.lastSeen[k] = now
-	}
-}
-
-// ExpireIdle releases every session idle for at least ttl at the given
-// instant, returning the count — the aging sweep that bounds the O(100M)
-// session table in production. Sessions never Touched expire on the sweep
-// after their creation-time Touch.
-func (t *SNATTable) ExpireIdle(now time.Time, ttl time.Duration) int {
-	n := 0
-	for k, seen := range t.lastSeen {
-		if now.Sub(seen) >= ttl {
-			if t.Release(k) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-func reverseKey(k SNATKey, b SNATBinding) snatReverseKey {
-	return snatReverseKey{
-		Public:   b,
-		PeerIP:   k.Flow.Dst,
-		PeerPort: k.Flow.DstPort,
-		Proto:    k.Flow.Proto,
-	}
-}
-
-// allocate finds a free (public IP, port) pair, scanning round-robin over
-// the pool and sequentially over ports, skipping in-use pairs.
-func (t *SNATTable) allocate() (SNATBinding, error) {
-	if len(t.pool) == 0 {
-		return SNATBinding{}, ErrSNATExhausted
-	}
-	// Each public IP offers 64512 ports; try every (ip, port) at most once.
-	for range t.pool {
-		ip := t.pool[t.next]
-		// Wrap in place: an unbounded increment would overflow the rotating
-		// index on a long-lived node allocating billions of sessions.
-		t.next = (t.next + 1) % len(t.pool)
-		start := t.ports[ip]
-		p := start
-		for {
-			b := SNATBinding{PublicIP: ip, PublicPort: p}
-			if !t.inUse[b] {
-				t.inUse[b] = true
-				if p == 65535 {
-					t.ports[ip] = snatPortMin
-				} else {
-					t.ports[ip] = p + 1
-				}
-				return b, nil
-			}
-			if p == 65535 {
-				p = snatPortMin
-			} else {
-				p++
-			}
-			if p == start {
-				break // this IP is full; try the next
-			}
-		}
-	}
-	return SNATBinding{}, ErrSNATExhausted
 }

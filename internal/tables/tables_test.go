@@ -201,202 +201,6 @@ func TestVMNCTable(t *testing.T) {
 	}
 }
 
-// --- SNAT ---
-
-func snatKey(vni netpkt.VNI, src string, sp uint16) SNATKey {
-	return SNATKey{VNI: vni, Flow: netpkt.Flow{
-		Src: addr(src), Dst: addr("93.184.216.34"),
-		Proto: netpkt.IPProtocolTCP, SrcPort: sp, DstPort: 443,
-	}}
-}
-
-func TestSNATTranslateStableAndReverse(t *testing.T) {
-	st := NewSNATTable([]netip.Addr{addr("203.0.113.1")})
-	k := snatKey(100, "192.168.0.10", 5000)
-	b1, err := st.Translate(k, time.Unix(0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := st.Translate(k, time.Unix(0, 0))
-	if err != nil || b1 != b2 {
-		t.Fatalf("binding not stable: %+v vs %+v (%v)", b1, b2, err)
-	}
-	// Response from the public peer must map back.
-	got, ok := st.ReverseLookup(b1, addr("93.184.216.34"), 443, netpkt.IPProtocolTCP)
-	if !ok || got != k {
-		t.Fatalf("reverse lookup: %+v/%v", got, ok)
-	}
-	// A different peer must not match.
-	if _, ok := st.ReverseLookup(b1, addr("1.1.1.1"), 443, netpkt.IPProtocolTCP); ok {
-		t.Fatal("reverse lookup matched wrong peer")
-	}
-}
-
-func TestSNATDistinctSessionsDistinctBindings(t *testing.T) {
-	st := NewSNATTable([]netip.Addr{addr("203.0.113.1")})
-	seen := map[SNATBinding]bool{}
-	for i := 0; i < 1000; i++ {
-		b, err := st.Translate(snatKey(100, "192.168.0.10", uint16(1000+i)), time.Unix(0, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seen[b] {
-			t.Fatalf("binding %+v reused across live sessions", b)
-		}
-		seen[b] = true
-	}
-	if st.Len() != 1000 {
-		t.Fatalf("Len = %d", st.Len())
-	}
-}
-
-func TestSNATReleaseRecyclesPort(t *testing.T) {
-	st := NewSNATTable([]netip.Addr{addr("203.0.113.1")})
-	k := snatKey(1, "192.168.0.1", 1234)
-	b, _ := st.Translate(k, time.Unix(0, 0))
-	if !st.Release(k) {
-		t.Fatal("release failed")
-	}
-	if st.Release(k) {
-		t.Fatal("double release succeeded")
-	}
-	if _, ok := st.Lookup(k); ok {
-		t.Fatal("session survived release")
-	}
-	if _, ok := st.ReverseLookup(b, k.Flow.Dst, k.Flow.DstPort, k.Flow.Proto); ok {
-		t.Fatal("reverse entry survived release")
-	}
-}
-
-func TestSNATExhaustion(t *testing.T) {
-	st := NewSNATTable(nil)
-	if _, err := st.Translate(snatKey(1, "192.168.0.1", 1), time.Unix(0, 0)); err != ErrSNATExhausted {
-		t.Fatalf("want ErrSNATExhausted, got %v", err)
-	}
-}
-
-func TestSNATMultipleIPsSpreadLoad(t *testing.T) {
-	st := NewSNATTable([]netip.Addr{addr("203.0.113.1"), addr("203.0.113.2")})
-	ips := map[netip.Addr]int{}
-	for i := 0; i < 100; i++ {
-		b, err := st.Translate(snatKey(1, "192.168.0.1", uint16(i+1)), time.Unix(0, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ips[b.PublicIP]++
-	}
-	if len(ips) != 2 || ips[addr("203.0.113.1")] != 50 {
-		t.Fatalf("allocation not round-robin: %v", ips)
-	}
-}
-
-// Regression: Translate used to seed lastSeen with the zero time.Time, so a
-// session allocated but never Touched was reaped by the very first ExpireIdle
-// sweep regardless of ttl. Creation time must start the idle clock.
-func TestSNATTranslateSeedsIdleTimer(t *testing.T) {
-	st := NewSNATTable([]netip.Addr{addr("203.0.113.1")})
-	t0 := time.Unix(1000, 0)
-	ttl := time.Minute
-	k := snatKey(7, "192.168.0.9", 4321)
-	if _, err := st.Translate(k, t0); err != nil {
-		t.Fatal(err)
-	}
-	if n := st.ExpireIdle(t0.Add(ttl/2), ttl); n != 0 {
-		t.Fatalf("never-Touched session reaped before ttl: %d expired", n)
-	}
-	if _, ok := st.Lookup(k); !ok {
-		t.Fatal("session gone before ttl")
-	}
-	if n := st.ExpireIdle(t0.Add(ttl), ttl); n != 1 {
-		t.Fatalf("session not reaped at creation+ttl: %d expired", n)
-	}
-}
-
-func TestSNATPortWraparoundAt65535(t *testing.T) {
-	st := NewSNATTable([]netip.Addr{addr("203.0.113.1")})
-	// Park the cursor at the top of the port space.
-	st.ports[addr("203.0.113.1")] = 65535
-	b1, err := st.Translate(snatKey(1, "192.168.0.1", 1), time.Unix(0, 0))
-	if err != nil || b1.PublicPort != 65535 {
-		t.Fatalf("want port 65535, got %+v (%v)", b1, err)
-	}
-	// The next allocation must wrap to snatPortMin, not run past 65535.
-	b2, err := st.Translate(snatKey(1, "192.168.0.1", 2), time.Unix(0, 0))
-	if err != nil || b2.PublicPort != snatPortMin {
-		t.Fatalf("want wraparound to %d, got %+v (%v)", snatPortMin, b2, err)
-	}
-}
-
-func TestSNATFullIPSkipsToNext(t *testing.T) {
-	ip1, ip2 := addr("203.0.113.1"), addr("203.0.113.2")
-	st := NewSNATTable([]netip.Addr{ip1, ip2})
-	// Exhaust every (ip1, port) pair out-of-band.
-	for p := uint32(snatPortMin); p <= 65535; p++ {
-		st.inUse[SNATBinding{PublicIP: ip1, PublicPort: uint16(p)}] = true
-	}
-	// Round-robin starts at ip1; the allocator must notice it is full and
-	// move on to ip2 within the same call.
-	b, err := st.Translate(snatKey(1, "192.168.0.1", 1), time.Unix(0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.PublicIP != ip2 {
-		t.Fatalf("allocation stuck on full IP: got %+v", b)
-	}
-}
-
-func TestSNATReleaseThenReallocateReusesFreedPair(t *testing.T) {
-	ip := addr("203.0.113.1")
-	st := NewSNATTable([]netip.Addr{ip})
-	k1 := snatKey(1, "192.168.0.1", 1)
-	b1, err := st.Translate(k1, time.Unix(0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Release(k1) {
-		t.Fatal("release failed")
-	}
-	// Once the cursor comes back around, the freed pair must be allocatable
-	// again rather than permanently leaked.
-	st.ports[ip] = b1.PublicPort
-	k2 := snatKey(1, "192.168.0.2", 2)
-	b2, err := st.Translate(k2, time.Unix(0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b2 != b1 {
-		t.Fatalf("freed pair not reused: freed %+v, got %+v", b1, b2)
-	}
-	// The reverse path must now belong to the new session, not the released
-	// one — same public binding and peer, different private endpoint.
-	got, ok := st.ReverseLookup(b2, k2.Flow.Dst, k2.Flow.DstPort, k2.Flow.Proto)
-	if !ok || got != k2 {
-		t.Fatalf("reverse entry after reuse: %+v/%v, want %+v", got, ok, k2)
-	}
-}
-
-// Regression: allocate() used to advance the rotating pool index with a bare
-// t.next++ and reduce it modulo the pool length only at read time, so the
-// counter grew without bound — on a long-lived node allocating billions of
-// sessions it would eventually overflow. The index must wrap in place and
-// still visit the pool round-robin.
-func TestSNATRotatingIndexStaysBounded(t *testing.T) {
-	pool := []netip.Addr{addr("203.0.113.1"), addr("203.0.113.2"), addr("203.0.113.3")}
-	st := NewSNATTable(pool)
-	for i := 0; i < 10*len(pool); i++ {
-		b, err := st.Translate(snatKey(1, "192.168.0.1", uint16(i+1)), time.Unix(0, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := pool[i%len(pool)]; b.PublicIP != want {
-			t.Fatalf("allocation %d on %v, want round-robin %v", i, b.PublicIP, want)
-		}
-		if st.next < 0 || st.next >= len(pool) {
-			t.Fatalf("rotating index escaped the pool after %d allocations: next=%d", i+1, st.next)
-		}
-	}
-}
-
 // --- ACL ---
 
 func TestACLPriorityAndWildcards(t *testing.T) {
@@ -505,17 +309,6 @@ func BenchmarkVMNCLookup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := keys[i%len(keys)]
 		vt.Lookup(k.VNI, k.Addr)
-	}
-}
-
-func BenchmarkSNATTranslate(b *testing.B) {
-	st := NewSNATTable([]netip.Addr{addr("203.0.113.1"), addr("203.0.113.2")})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := snatKey(1, "192.168.0.1", uint16(i%60000+1))
-		if _, err := st.Translate(k, time.Unix(0, 0)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -43,8 +43,6 @@ type Stage uint8
 const (
 	// StageFront is the region front end (ECMP steering, single-shot path).
 	StageFront Stage = 1 + iota
-	// StageDriver is the asynchronous Driver submit/steer path.
-	StageDriver
 	// StageGateway is the XGW-H hardware pipeline.
 	StageGateway
 	// StageFallback is the XGW-x86 software pool.
@@ -53,10 +51,10 @@ const (
 	// and the x86 pool.
 	StageDPU
 
-	numStages = 6 // stage codes are 1-based; index 0 unused
+	numStages = 5 // stage codes are 1-based; index 0 unused
 )
 
-var stageName = [numStages]string{"", "front", "driver", "gateway", "fallback", "dpu"}
+var stageName = [numStages]string{"", "front", "gateway", "fallback", "dpu"}
 
 // String returns the stage's wire name ("front", "gateway", ...).
 func (s Stage) String() string {
@@ -76,7 +74,7 @@ const (
 	VerdictFallback
 	// VerdictDrop: the packet died here; Code says why.
 	VerdictDrop
-	// VerdictSteered: the front end / driver picked a node and handed the
+	// VerdictSteered: the front end picked a node and handed the
 	// packet on (the hop between steering and the gateway verdict).
 	VerdictSteered
 
